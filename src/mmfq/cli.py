@@ -246,8 +246,11 @@ def cmd_case(args) -> int:
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     model = load_model(args.model)
-    cfg = simulate.SimConfig(replications=args.replications, seed=args.seed,
-                             max_time=args.max_time)
+    try:
+        cfg = simulate.SimConfig(replications=args.replications, seed=args.seed,
+                                 max_time=args.max_time)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     est = simulate.estimate_psi(model, cfg)
     labels = model.canonical_labels()
     up = [labels[i] for i in model.ip]

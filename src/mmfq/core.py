@@ -275,7 +275,13 @@ def load_model(path) -> FluidModel:
         doc = json.load(fh)
     if "A" not in doc or "c" not in doc:
         raise DimensionMismatch('model file must contain "A" and "c"')
-    return validate_model(doc["A"], doc["c"], labels=doc.get("labels"))
+    try:
+        A = np.asarray(doc["A"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"A is not a rectangular array of numbers: {exc}") from exc
+    if not np.isfinite(A).all():
+        raise NotAGenerator("A has non-finite entries")
+    return validate_model(A, doc["c"], labels=doc.get("labels"))
 
 
 def model_to_dict(model: FluidModel) -> dict:

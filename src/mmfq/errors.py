@@ -39,10 +39,6 @@ class Singular(FluidQueueError):
     code = "Singular"
 
 
-class SizeLimit(FluidQueueError):
-    code = "SizeLimit"
-
-
 class Inconclusive(FluidQueueError):
     code = "Inconclusive"
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import (LinAlgWarning, expm, get_lapack_funcs, lu_factor, lu_solve,
+                          schur)
 
-from .errors import Inconclusive, SingularSystem, Singular, SizeLimit
+from .errors import Inconclusive, SingularSystem, Singular
 
 PIVOT_RTOL = 1e-14
-SYLVESTER_SIZE_LIMIT = 4096
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -62,14 +62,49 @@ def solve_linear(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     return lu_solve((lu, piv), B, check_finite=False)
 
 
-def solve_sylvester(K: np.ndarray, U: np.ndarray, H: np.ndarray,
-                    size_limit: int = SYLVESTER_SIZE_LIMIT) -> np.ndarray:
-    """Solve K X + X U = H by Kronecker vectorization and one LU solve.
+def _schur_eigenvalues(T: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a standardized real Schur form: the diagonal, with
+    a +- i sqrt(-b c) on each 2x2 block [[a, b], [c, a]]."""
+    lam = np.diag(T).astype(complex)
+    k = np.flatnonzero(np.diag(T, -1))
+    im = np.sqrt(np.abs(T[k, k + 1] * T[k + 1, k]))
+    lam[k] += 1j * im
+    lam[k + 1] -= 1j * im
+    return lam
 
-    The solution is unique when spec(K) and spec(-U) are disjoint; a
-    violation surfaces as a :class:`Singular` pivot failure.  One
-    extended-precision defect-correction pass guards the forward error
-    when the two spectra come close.
+
+def sylvester_solver(K: np.ndarray, U: np.ndarray):
+    """Bartels-Stewart factorisation of the operator X -> K X + X U.
+
+    Computes the real Schur forms K = Q T Q^T and U^T = Z S Z^T once and
+    returns ``solve(H)``, which solves K X + X U = H with one LAPACK
+    ``trsyl`` call.  Raises :class:`Singular` when spec(K) comes within
+    ``PIVOT_RTOL * (norm(K, inf) + norm(U, inf))`` of spec(-U).
+    """
+    p, q = K.shape[0], U.shape[0]
+    if p == 0 or q == 0:
+        return lambda H: np.zeros((p, q))
+    T, Q = schur(K, output="real", check_finite=False)
+    S, Z = schur(U.T, output="real", check_finite=False)
+    scale = np.linalg.norm(K, np.inf) + np.linalg.norm(U, np.inf)
+    gap = np.abs(_schur_eigenvalues(T)[:, None] + _schur_eigenvalues(S)).min()
+    if scale == 0.0 or gap < PIVOT_RTOL * scale:
+        raise Singular(f"spectral gap {gap:.3e} below {PIVOT_RTOL:.0e} * {scale:.3e}")
+    trsyl, = get_lapack_funcs(("trsyl",), (T, S))
+
+    def solve(H: np.ndarray) -> np.ndarray:
+        # T Y + Y S^T = factor * Q^T H Z; the gap check covers trsyl's info
+        Y, factor, _ = trsyl(T, S, Q.T @ H @ Z, tranb="T")
+        return Q @ (Y / factor) @ Z.T
+
+    return solve
+
+
+def solve_sylvester(K: np.ndarray, U: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Solve K X + X U = H with :func:`sylvester_solver`.
+
+    One extended-precision defect-correction pass through the same Schur
+    factors guards the forward error when spec(K) and spec(-U) come close.
     """
     K = as_matrix(K, "K")
     U = as_matrix(U, "U")
@@ -77,24 +112,11 @@ def solve_sylvester(K: np.ndarray, U: np.ndarray, H: np.ndarray,
     p, q = H.shape
     if K.shape != (p, p) or U.shape != (q, q):
         raise ValueError(f"incompatible shapes K{K.shape}, U{U.shape}, H{H.shape}")
-    if p == 0 or q == 0:
-        return np.zeros((p, q))
-    if p * q > size_limit:
-        raise SizeLimit(f"vectorized system of size {p * q} exceeds limit {size_limit}")
-    # column-stacking convention: vec(KX) = (I (x) K) vec(X), vec(XU) = (U^T (x) I) vec(X)
-    big = np.kron(np.eye(q), K) + np.kron(U.T, np.eye(p))
-    scale = np.linalg.norm(big, np.inf)
-    lu, piv = lu_factor(big, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or pivots.min() < PIVOT_RTOL * scale:
-        raise Singular(f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * {scale:.3e}")
-    X = lu_solve((lu, piv), H.reshape(-1, order="F"),
-                 check_finite=False).reshape((p, q), order="F")
-    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
-        K_l, U_l, H_l = (m.astype(np.longdouble) for m in (K, U, H))
-        resid = H_l - K_l @ X.astype(np.longdouble) - X.astype(np.longdouble) @ U_l
-        X = X + lu_solve((lu, piv), resid.astype(float).reshape(-1, order="F"),
-                         check_finite=False).reshape((p, q), order="F")
+    solve = sylvester_solver(K, U)
+    X = solve(H)
+    if X.size and np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        K_l, U_l, H_l, X_l = (m.astype(np.longdouble) for m in (K, U, H, X))
+        X = X + solve((H_l - K_l @ X_l - X_l @ U_l).astype(float))
     return X
 
 
@@ -107,44 +129,12 @@ def sylvester_residual(K, U, H, X) -> float:
     return num / max(scale, 1e-300)
 
 
-# diagonal Pade(13) data; theta is the 1-norm bound below which no squaring
-# is needed in double precision
-_PADE13 = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0])
-_THETA13 = 5.371920351148152
-
-
 def matrix_exp(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with diagonal Pade(13)."""
+    """Matrix exponential by scaling and squaring (``scipy.linalg.expm``)."""
     M = as_matrix(M, "M")
-    n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got {M.shape}")
-    if n == 0:
-        return np.zeros((0, 0))
-    norm = np.linalg.norm(M, 1)
-    if norm == 0.0:
-        return np.eye(n)
-    s = 0
-    if norm > _THETA13:
-        s = int(np.ceil(np.log2(norm / _THETA13)))
-        M = M / (2.0 ** s)
-    ident = np.eye(n)
-    c = _PADE13
-    M2 = M @ M
-    M4 = M2 @ M2
-    M6 = M2 @ M4
-    u = M @ (M6 @ (c[13] * M6 + c[11] * M4 + c[9] * M2)
-             + c[7] * M6 + c[5] * M4 + c[3] * M2 + c[1] * ident)
-    v = (M6 @ (c[12] * M6 + c[10] * M4 + c[8] * M2)
-         + c[6] * M6 + c[4] * M4 + c[2] * M2 + c[0] * ident)
-    F = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        F = F @ F
-    return F
+    return expm(M)
 
 
 def group_inverse(M: np.ndarray, left_null: np.ndarray) -> np.ndarray:

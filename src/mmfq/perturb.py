@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FluidModel, PerturbationSpec, validate_perturbation
-from .errors import InnerRiccatiDiverged, NoConvergence, WrongRegime
+from .errors import (InnerRiccatiDiverged, InvalidPerturbation, NoConvergence,
+                     WrongRegime)
 from .numerics import solve_linear, solve_sylvester
 from .riccati import PsiSolution, newton_riccati
 
@@ -428,4 +429,6 @@ def load_perturbation(path, model: FluidModel) -> PerturbationSpec:
     kind = doc.get("kind")
     if kind not in ("generator", "rate"):
         raise WrongRegime(f"unknown perturbation kind {kind!r}")
+    if "direction" not in doc:
+        raise InvalidPerturbation('perturbation file must contain "direction"')
     return validate_perturbation(model, kind, doc["direction"])

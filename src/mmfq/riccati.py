@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .core import FluidModel, PerturbationSpec, censor_zero_phases, validate_model
 from .errors import (EmptySide, InvalidEpsilon, NoConvergence, NotAGenerator,
                      Reducible)
-from .numerics import solve_linear, stable_spectrum
+# solve_linear stays bound because tracers wrap mmfq.riccati.solve_linear by name
+from .numerics import solve_linear, stable_spectrum, sylvester_solver  # noqa: F401
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_NEWTON = 50
@@ -52,10 +52,6 @@ class PsiSolution:
     in_unit_box: bool
 
 
-def _riccati_residual(Md, Ma, Mu, Mb, X) -> np.ndarray:
-    return Md + Ma @ X + X @ Mu + X @ Mb @ X
-
-
 def newton_riccati(Md, Ma, Mu, Mb, tol: float = DEFAULT_TOL,
                    max_newton: int = DEFAULT_MAX_NEWTON,
                    row_scale: np.ndarray | None = None):
@@ -66,11 +62,11 @@ def newton_riccati(Md, Ma, Mu, Mb, tol: float = DEFAULT_TOL,
     residual does not decrease.  Returns (X, iterations, residual history,
     iterates stayed in [0, 1]).
 
-    ``row_scale`` (positive, per row) rescales the equation before the
-    linear algebra: when the first two coefficients carry a large factor
-    1/row_scale (tiny up rates), iterating on row_scale * F keeps every
-    term O(1) so the solution is resolved to full double precision.  The
-    reported residuals are always those of the unscaled equation.
+    ``row_scale`` (positive, per row) rescales the residual: when the
+    first two coefficients carry a large factor 1/row_scale (tiny up
+    rates), evaluating row_scale * F keeps every term O(1) so the solution
+    is resolved to full double precision.  The reported residuals are
+    always those of the unscaled equation.
     """
     p, q = Md.shape
     X = np.zeros((p, q))
@@ -93,12 +89,8 @@ def newton_riccati(Md, Ma, Mu, Mb, tol: float = DEFAULT_TOL,
     in_box = True
     iterations = 0
     while res > tol and iterations < max_newton:
-        # Frechet derivative of the scaled equation:
-        #   (Sa + rs*(X Mb)) D + diag(rs) D (Mu + Mb X) = -H
-        left = Sa + rs * (X @ Mb)
-        right = Mu + Mb @ X
-        big = np.kron(np.eye(q), left) + np.kron(right.T, np.diag(rs[:, 0]))
-        step = solve_linear(big, -H.reshape(-1, order="F")).reshape((p, q), order="F")
+        # Frechet derivative of the unscaled equation; H is the scaled residual
+        step = sylvester_solver(Ma + X @ Mb, Mu + Mb @ X)(-H / rs)
         new_X = X + step
         new_H = scaled_residual(new_X)
         new_hres = np.linalg.norm(new_H, np.inf)
@@ -137,10 +129,7 @@ def _defect_correct(X, Sd, Sa, Mu, Mb, rs, passes: int = 2):
     """
     if np.finfo(np.longdouble).eps >= np.finfo(float).eps or X.size == 0:
         return X
-    p, q = X.shape
-    big = np.kron(np.eye(q), Sa + rs * (X @ Mb)) \
-        + np.kron((Mu + Mb @ X).T, np.diag(rs[:, 0]))
-    lu, piv = lu_factor(big, check_finite=False)
+    solve = sylvester_solver(Sa / rs + X @ Mb, Mu + Mb @ X)
     data_l = [m.astype(np.longdouble) for m in (Sd, Sa, Mu, Mb, rs)]
 
     def residual_l(Y):
@@ -150,9 +139,7 @@ def _defect_correct(X, Sd, Sa, Mu, Mb, rs, passes: int = 2):
 
     h_prev = residual_l(X)
     for _ in range(passes):
-        step = lu_solve((lu, piv), -h_prev.astype(float).reshape(-1, order="F"),
-                        check_finite=False)
-        x_new = X + step.reshape((p, q), order="F")
+        x_new = X + solve(-h_prev.astype(float) / rs)
         h_new = residual_l(x_new)
         if np.abs(h_new).max(initial=0.0) >= np.abs(h_prev).max(initial=0.0):
             break

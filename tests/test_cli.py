@@ -28,6 +28,15 @@ def case_1a_file(tmp_path):
     return str(path), str(pert)
 
 
+def error_report(capsys) -> dict:
+    """The one-line JSON error report on stderr."""
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "Traceback" not in err
+    report = json.loads(err)
+    assert set(report) == {"error", "message"}
+    return report
+
+
 class TestValidate:
     def test_valid_model(self, model_file, capsys):
         assert main(["validate", model_file]) == 0
@@ -52,6 +61,18 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "IO"
+
+    def test_ragged_generator(self, tmp_path, capsys):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"A": [[-1.0, 1.0], [1.0]], "c": [1.0, -1.0]}))
+        assert main(["validate", str(path)]) == 1
+        assert error_report(capsys)["error"] == "DimensionMismatch"
+
+    def test_nan_in_generator(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"A": [[NaN, 1.0], [1.0, -1.0]], "c": [1.0, -1.0]}')
+        assert main(["validate", str(path)]) == 1
+        assert error_report(capsys)["error"] == "NotAGenerator"
 
 
 class TestPsi:
@@ -93,6 +114,12 @@ class TestPerturb:
         assert main(["perturb", model_file, str(pert)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["psi1"] == [[0.0]]
+
+    def test_missing_direction(self, model_file, tmp_path, capsys):
+        pert = tmp_path / "nodir.json"
+        pert.write_text(json.dumps({"kind": "generator"}))
+        assert main(["perturb", model_file, str(pert)]) == 1
+        assert error_report(capsys)["error"] == "InvalidPerturbation"
 
     def test_case_1a_eps_check(self, case_1a_file, capsys):
         path, pert = case_1a_file
@@ -203,3 +230,7 @@ class TestSimulate:
         assert lines[1].startswith("0,1,1,")
         manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
         assert manifest["diagnostics"]["censored_fraction"] == 0.0
+
+    def test_zero_replications_is_usage_error(self, model_file, capsys):
+        assert main(["simulate", model_file, "--replications", "0"]) == 2
+        assert error_report(capsys)["error"] == "Usage"

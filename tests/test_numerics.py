@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mmfq.errors import Inconclusive, Singular, SizeLimit
+from mmfq import numerics
+from mmfq.errors import Inconclusive, Singular
 from mmfq.numerics import (conv_integral, group_inverse, matrix_exp,
                            null_row_vector, solve_linear, solve_sylvester,
-                           sylvester_residual)
+                           sylvester_residual, sylvester_solver)
 
 from conftest import random_generator
 
@@ -85,10 +86,37 @@ class TestSolveSylvester:
             Y = solve_linear(K, H - Y @ U)
         assert np.abs(X - Y).max() < 1e-9
 
-    def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            solve_sylvester(np.eye(70), np.eye(70), np.ones((70, 70)),
-                            size_limit=4096)
+    def test_large_problem(self):
+        # pq = 4900 > 4096, beyond what a dense Kronecker solve can afford
+        rng = np.random.default_rng(4)
+        K = rng.normal(size=(70, 70)) / 10 - 3 * np.eye(70)
+        U = rng.normal(size=(70, 70)) / 10 - 2 * np.eye(70)
+        H = rng.normal(size=(70, 70))
+        assert sylvester_residual(K, U, H, solve_sylvester(K, U, H)) <= 1e-12
+
+    def test_shared_spectrum_is_singular(self):
+        # spec(K) = {1, 2} meets spec(-U) = {1, -3}
+        with pytest.raises(Singular):
+            solve_sylvester(np.diag([1.0, 2.0]), np.diag([-1.0, 3.0]),
+                            np.ones((2, 2)))
+
+    @pytest.mark.parametrize("p,q", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes_skip_schur(self, p, q, monkeypatch):
+        def no_schur(*args, **kwargs):
+            raise AssertionError("schur called on an empty problem")
+        monkeypatch.setattr(numerics, "schur", no_schur)
+        X = solve_sylvester(np.zeros((p, p)), np.zeros((q, q)), np.zeros((p, q)))
+        assert X.shape == (p, q)
+
+    def test_solver_matches_scipy(self):
+        rng = np.random.default_rng(5)
+        K = rng.normal(size=(12, 12))
+        U = rng.normal(size=(9, 9)) + 6 * np.eye(9)
+        solve = sylvester_solver(K, U)
+        for _ in range(2):  # the factors are reused across right-hand sides
+            H = rng.normal(size=(12, 9))
+            expected = scipy.linalg.solve_sylvester(K, U, H)
+            assert np.abs(solve(H) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestMatrixExp:

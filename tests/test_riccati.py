@@ -6,7 +6,7 @@ from mmfq import (build_UK, solve_psi, solve_psi_at, validate_model,
 from mmfq.errors import EmptySide, InvalidEpsilon, NoConvergence
 from mmfq.numerics import stable_spectrum
 
-from conftest import random_recurrent_model
+from conftest import random_generator, random_recurrent_model
 
 
 class TestTwoPhaseClosedForm:
@@ -67,6 +67,18 @@ class TestStructuralFacts:
             assert all(check_structure(model, sol).values())
             assert sol.residual <= 1e-12
             assert sol.in_unit_box
+
+    def test_dense_n200(self):
+        # pq = 98^2 = 9604: each Newton step is a Sylvester problem whose
+        # Kronecker form would have order 9604
+        rng = np.random.default_rng(200)
+        signs = np.repeat([1, 0, -1], [98, 4, 98])
+        rates = np.where(signs > 0, rng.uniform(0.5, 1.0, 200),
+                         rng.uniform(1.0, 2.0, 200))
+        model = validate_model(random_generator(200, rng), signs * rates)
+        sol = solve_psi(model)
+        assert sol.residual <= 1e-12
+        assert np.abs(sol.psi.sum(axis=1) - 1.0).max() <= 1e-10
 
 
 class TestNewtonBehaviour:
