@@ -215,22 +215,24 @@ def cmd_case(args) -> int:
     summary = [f"case {result.case_id}: r_minus={_f3(result.r_minus)} "
                f"drift={_f3(result.drift)} slope={result.slope:.3f} "
                f"R^2={result.r_squared:.4f}"]
-    reference = bench.REFERENCE_NORMS[result.case_id]
+    reference = bench.corrected_reference_norms()[result.case_id]
     for eps_ref, cells in reference.items():
         idx = int(np.argmin(np.abs(result.eps_grid - eps_ref)))
         close = abs(result.eps_grid[idx] - eps_ref) <= 1e-12 * eps_ref
         for key, ref in cells.items():
+            erratum = bench.REFERENCE_ERRATA.get((result.case_id, eps_ref, key))
+            ref_text = f"reference {_f3(ref)}" + (
+                f" (published {_f3(erratum.published)}, erratum)" if erratum else "")
             got = {"e_plus": result.e_plus,
                    "e_oplus": result.e_oplus,
                    "e_inf": result.e_inf}[key]
             if got is None or not close:
-                summary.append(f"  {key}({_f3(eps_ref)}): reference {_f3(ref)} "
+                summary.append(f"  {key}({_f3(eps_ref)}): {ref_text} "
                                "(grid point not evaluated)")
                 continue
             val = got[idx]
             ok = abs(val - ref) <= 0.02 * ref
-            summary.append(f"  {key}({_f3(eps_ref)}) = {_f3(val)} "
-                           f"reference {_f3(ref)} "
+            summary.append(f"  {key}({_f3(eps_ref)}) = {_f3(val)} {ref_text} "
                            f"{'PASS' if ok else 'FAIL'} (2% relative)")
     print("\n".join(summary))
     manifest = RunManifest(

@@ -64,8 +64,6 @@ def _right_solve(B: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _theta(model: FluidModel, psi: np.ndarray) -> np.ndarray:
     """Zero-phase column factor (C+^{-1} A_{+0} + psi |C-^{-1}| A_{-0}) (-A_00)^{-1}."""
-    if model.n_zero == 0:
-        return np.zeros((model.n_plus, 0))
     ip, i0, im = model.ip, model.i0, model.im
     B = model.block(ip, i0) / model.c_plus[:, None] \
         + (psi / model.c_minus_abs[None, :]) @ model.block(im, i0)
@@ -160,12 +158,9 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
     Qt_pp, _, Qt_mp, _ = qtilde_blocks(model, At)
     K1 = Qt_pp / cp + psi1_cm @ blocks.Q_mp + psi_cm @ Qt_mp
 
-    if model.n_zero:
-        inner = At[np.ix_(ip, i0)] / cp + psi1_cm @ model.block(im, i0) \
-            + psi_cm @ At[np.ix_(im, i0)] + law.Theta @ At[np.ix_(i0, i0)]
-        Theta1 = _right_solve(inner, -model.block(i0, i0))
-    else:
-        Theta1 = np.zeros((model.n_plus, 0))
+    inner = At[np.ix_(ip, i0)] / cp + psi1_cm @ model.block(im, i0) \
+        + psi_cm @ At[np.ix_(im, i0)] + law.Theta @ At[np.ix_(i0, i0)]
+    Theta1 = _right_solve(inner, -model.block(i0, i0))
 
     # Poisson equation for the boundary-mass derivative:
     # x S = -p S1 has solutions x = -p S1 S^# + const * p

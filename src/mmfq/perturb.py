@@ -1,12 +1,15 @@
 """First-order expansions of the first-return matrix.
 
-Five expansion routes are implemented:
+Three expansion routes are implemented:
 
 * generator direction ``A + eps*At`` (:func:`psi1_generator`),
 * rate direction with unaffected zero-rate phases (:func:`psi1_rate_unaffected`),
-* all zero-rate phases migrating to the up class (:func:`expand_to_plus`),
-* all migrating to the down class (:func:`expand_to_minus`),
-* a sign split of the zero-rate phases (:func:`expand_general`).
+* rate direction under which the zero-rate phases migrate, split by sign
+  into a migrating-up and a migrating-down class (:func:`expand_general`).
+
+Two regime wrappers run the migration elimination with one class empty:
+:func:`expand_to_plus` (every zero-rate phase migrates up) and
+:func:`expand_to_minus` (every one migrates down).
 
 For the migration regimes the perturbed first-return matrix has rows
 (up phases, migrated-up phases) and columns (migrated-down phases, down
@@ -86,11 +89,6 @@ def qtilde_blocks(model: FluidModel, a_tilde: np.ndarray):
     ip, i0, im = model.ip, model.i0, model.im
     At = np.asarray(a_tilde, dtype=float)
     out = {}
-    if model.n_zero == 0:
-        for r, ir in (("p", ip), ("m", im)):
-            for c, ic in (("p", ip), ("m", im)):
-                out[r + c] = At[np.ix_(ir, ic)]
-        return out["pp"], out["pm"], out["mp"], out["mm"]
     N = _inv(-model.block(i0, i0))
     At00 = At[np.ix_(i0, i0)]
     for r, ir in (("p", ip), ("m", im)):
@@ -126,7 +124,7 @@ def psi1_rate_unaffected(model: FluidModel, psi_sol: PsiSolution,
     Solves K X + X U = -psi |C-^{-1}| Ct_- U - C+^{-1} Ct_+ psi U.
     """
     ct = np.asarray(c_tilde, dtype=float)
-    if model.n_zero and np.any(ct[model.i0] != 0.0):
+    if np.any(ct[model.i0] != 0.0):
         raise WrongRegime("rate direction touches zero-rate phases")
     psi, U = psi_sol.psi, psi_sol.U
     ct_p = ct[model.ip]
@@ -135,80 +133,6 @@ def psi1_rate_unaffected(model: FluidModel, psi_sol: PsiSolution,
     rhs = -(psi_cm * ct_m[None, :]) @ U \
         - ((ct_p / model.c_plus)[:, None] * psi) @ U
     return solve_sylvester(psi_sol.K, psi_sol.U, rhs)
-
-
-def expand_to_plus(model: FluidModel, psi_sol: PsiSolution,
-                   spec: PerturbationSpec) -> PsiExpansion:
-    """Expansion when every zero-rate phase acquires a positive rate."""
-    if spec.kind != "rate" or spec.regime != "to_plus":
-        raise WrongRegime(f"expected to_plus regime, got {spec.kind}/{spec.regime}")
-    ip, io, im = model.ip, model.i0, model.im
-    psi, U, K = psi_sol.psi, psi_sol.U, psi_sol.K
-    cp = model.c_plus[:, None]
-    cm = model.c_minus_abs[None, :]
-    ct_op = spec.direction[io]
-    ct_p = spec.direction[ip]
-    ct_m = spec.direction[im]
-
-    N = _inv(-model.block(io, io))
-    psi_op_m = N @ (model.block(io, im) + model.block(io, ip) @ psi)
-    K_p_op = model.block(ip, io) / cp + (psi / cm) @ model.block(im, io)
-    P_op = K_p_op @ (N * ct_op[None, :]) @ psi_op_m
-
-    rhs = -((psi / cm) * ct_m[None, :]) @ U \
-        - ((ct_p[:, None] / cp) * psi) @ U - P_op @ U
-    psi1_p_m = solve_sylvester(K, U, rhs)
-    psi1_op_m = (N * ct_op[None, :]) @ psi_op_m @ U \
-        + N @ model.block(io, ip) @ psi1_p_m
-
-    return PsiExpansion(
-        regime="to_plus",
-        psi_bar=np.vstack([psi, psi_op_m]),
-        psi1=np.vstack([psi1_p_m, psi1_op_m]),
-        row_phases=np.concatenate([model.perm[ip], model.perm[io]]),
-        col_phases=model.perm[im],
-        n_up_rows=model.n_plus,
-        n_migrating_cols=0,
-        aux={"psi_op_m": psi_op_m, "P_op": P_op, "K_p_op": K_p_op,
-             "psi1_op_m": psi1_op_m})
-
-
-def expand_to_minus(model: FluidModel, psi_sol: PsiSolution,
-                    spec: PerturbationSpec) -> PsiExpansion:
-    """Expansion when every zero-rate phase acquires a negative rate.
-
-    The zeroth order is [0  psi]: in the limit the fluid can only return
-    to its initial level through an original down phase.
-    """
-    if spec.kind != "rate" or spec.regime != "to_minus":
-        raise WrongRegime(f"expected to_minus regime, got {spec.kind}/{spec.regime}")
-    ip, io, im = model.ip, model.i0, model.im
-    psi, U, K = psi_sol.psi, psi_sol.U, psi_sol.K
-    cp = model.c_plus[:, None]
-    cm = model.c_minus_abs[None, :]
-    ct_om_abs = np.abs(spec.direction[io])
-    ct_p = spec.direction[ip]
-    ct_m = spec.direction[im]
-
-    N = _inv(-model.block(io, io))
-    psi1_p_om = (model.block(ip, io) / cp + (psi / cm) @ model.block(im, io)) \
-        @ (N * ct_om_abs[None, :])
-    P_om = psi1_p_om @ N @ (model.block(io, im) + model.block(io, ip) @ psi)
-
-    rhs = -((psi / cm) * ct_m[None, :]) @ U \
-        - ((ct_p[:, None] / cp) * psi) @ U - K @ P_om
-    psi1_p_m = solve_sylvester(K, U, rhs)
-
-    zero = np.zeros((model.n_plus, model.n_zero))
-    return PsiExpansion(
-        regime="to_minus",
-        psi_bar=np.hstack([zero, psi]),
-        psi1=np.hstack([psi1_p_om, psi1_p_m]),
-        row_phases=model.perm[ip],
-        col_phases=np.concatenate([model.perm[io], model.perm[im]]),
-        n_up_rows=model.n_plus,
-        n_migrating_cols=model.n_zero,
-        aux={"psi1_p_om": psi1_p_om, "P_om": P_om})
 
 
 def _series_m1(model, spec, psi, psi_op_om, psi_op_m):
@@ -265,12 +189,14 @@ def series_blocks(model: FluidModel, spec: PerturbationSpec,
                         k_m1_op_p=k_m1_op_p)
 
 
-def expand_general(model: FluidModel, psi_sol: PsiSolution,
-                   spec: PerturbationSpec) -> PsiExpansion:
-    """Expansion when the zero-rate phases split between the two classes.
+def _eliminate(model: FluidModel, psi_sol: PsiSolution,
+               spec: PerturbationSpec) -> PsiExpansion:
+    """Expansion of a rate perturbation under which zero-rate phases migrate.
 
-    The elimination order, each step obtained by collecting powers of eps
-    in the four block components of the perturbed Riccati equation:
+    An empty migrating class (om for ``to_plus``, op for ``to_minus``)
+    enters every step as a zero-size block.  The elimination order, each
+    step obtained by collecting powers of eps in the four block components
+    of the perturbed Riccati equation:
 
     1. eps^{-1} of the (op, om) block: inner Riccati equation for psi_op_om
        with the perturbation rates as fluid rates.
@@ -282,8 +208,6 @@ def expand_general(model: FluidModel, psi_sol: PsiSolution,
        psi1_p_m; substituting the first two into the third leaves one
        Sylvester equation for psi1_p_m, then back-substitution.
     """
-    if spec.kind != "rate" or spec.regime != "general":
-        raise WrongRegime(f"expected general regime, got {spec.kind}/{spec.regime}")
     ip, im = model.ip, model.im
     io_p, io_m = spec.oplus, spec.ominus
     psi = psi_sol.psi
@@ -378,44 +302,64 @@ def expand_general(model: FluidModel, psi_sol: PsiSolution,
     psi1_op_m = neg_k_inv @ (k_m1_op_p @ psi1_p_m + w0)
     psi2_p_om = (G + psi1_p_m @ sb.u_0_m_om) @ neg_u_inv
 
-    n_op, n_om = len(io_p), len(io_m)
     psi_bar = np.block([
-        [np.zeros((model.n_plus, n_om)), psi],
+        [np.zeros((model.n_plus, len(io_m))), psi],
         [psi_op_om, psi_op_m]])
     psi1 = np.block([
         [psi1_p_om, psi1_p_m],
         [psi1_op_om, psi1_op_m]])
     return PsiExpansion(
-        regime="general", psi_bar=psi_bar, psi1=psi1,
+        regime=spec.regime, psi_bar=psi_bar, psi1=psi1,
         row_phases=np.concatenate([model.perm[ip], model.perm[io_p]]),
         col_phases=np.concatenate([model.perm[io_m], model.perm[im]]),
-        n_up_rows=model.n_plus, n_migrating_cols=n_om,
+        n_up_rows=model.n_plus, n_migrating_cols=len(io_m),
         aux={"psi_op_om": psi_op_om, "psi_op_m": psi_op_m,
              "psi1_p_om": psi1_p_om, "psi1_op_om": psi1_op_om,
              "psi1_op_m": psi1_op_m, "psi2_p_om": psi2_p_om,
              "series": sb, "k_hat": k_hat, "u_hat": u_hat})
 
 
+def _require_regime(spec: PerturbationSpec, regime: str) -> None:
+    if spec.kind != "rate" or spec.regime != regime:
+        raise WrongRegime(f"expected {regime} regime, got {spec.kind}/{spec.regime}")
+
+
+def expand_to_plus(model: FluidModel, psi_sol: PsiSolution,
+                   spec: PerturbationSpec) -> PsiExpansion:
+    """Expansion when every zero-rate phase acquires a positive rate."""
+    _require_regime(spec, "to_plus")
+    return _eliminate(model, psi_sol, spec)
+
+
+def expand_to_minus(model: FluidModel, psi_sol: PsiSolution,
+                    spec: PerturbationSpec) -> PsiExpansion:
+    """Expansion when every zero-rate phase acquires a negative rate.
+
+    The zeroth order is [0  psi]: in the limit the fluid can only return
+    to its initial level through an original down phase.
+    """
+    _require_regime(spec, "to_minus")
+    return _eliminate(model, psi_sol, spec)
+
+
+def expand_general(model: FluidModel, psi_sol: PsiSolution,
+                   spec: PerturbationSpec) -> PsiExpansion:
+    """Expansion when the zero-rate phases split between the two classes."""
+    _require_regime(spec, "general")
+    return _eliminate(model, psi_sol, spec)
+
+
 def expand(model: FluidModel, psi_sol: PsiSolution,
            spec: PerturbationSpec) -> PsiExpansion:
     """Dispatch to the expansion route matching the perturbation regime."""
-    if spec.kind == "generator":
-        psi1 = psi1_generator(model, psi_sol, spec.direction)
-        return PsiExpansion(
-            regime="generator", psi_bar=psi_sol.psi.copy(), psi1=psi1,
-            row_phases=model.perm[model.ip], col_phases=model.perm[model.im],
-            n_up_rows=model.n_plus, n_migrating_cols=0)
-    if spec.regime == "unaffected":
-        psi1 = psi1_rate_unaffected(model, psi_sol, spec.direction)
-        return PsiExpansion(
-            regime="unaffected", psi_bar=psi_sol.psi.copy(), psi1=psi1,
-            row_phases=model.perm[model.ip], col_phases=model.perm[model.im],
-            n_up_rows=model.n_plus, n_migrating_cols=0)
-    if spec.regime == "to_plus":
-        return expand_to_plus(model, psi_sol, spec)
-    if spec.regime == "to_minus":
-        return expand_to_minus(model, psi_sol, spec)
-    return expand_general(model, psi_sol, spec)
+    if spec.kind == "rate" and spec.regime != "unaffected":
+        return _eliminate(model, psi_sol, spec)
+    route = psi1_generator if spec.kind == "generator" else psi1_rate_unaffected
+    return PsiExpansion(
+        regime=spec.regime, psi_bar=psi_sol.psi.copy(),
+        psi1=route(model, psi_sol, spec.direction),
+        row_phases=model.perm[model.ip], col_phases=model.perm[model.im],
+        n_up_rows=model.n_plus, n_migrating_cols=0)
 
 
 def load_perturbation(path, model: FluidModel) -> PerturbationSpec:

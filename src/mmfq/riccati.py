@@ -66,16 +66,18 @@ def newton_riccati(Md, Ma, Mu, Mb, tol: float = DEFAULT_TOL,
     first two coefficients carry a large factor 1/row_scale (tiny up
     rates), evaluating row_scale * F keeps every term O(1) so the solution
     is resolved to full double precision.  The reported residuals are
-    always those of the unscaled equation.
+    always those of the unscaled equation.  An empty side (p or q zero)
+    returns the empty root without a step.
     """
     p, q = Md.shape
     X = np.zeros((p, q))
+    if p == 0 or q == 0:
+        return X, 0, (0.0,), True
     if row_scale is None:
         row_scale = np.ones(p)
     rs = np.asarray(row_scale, dtype=float)[:, None]
     Sd, Sa = rs * Md, rs * Ma
-    scale = max(float(np.abs(m).max()) if m.size else 0.0
-                for m in (Sd, Sa, Mu, Mb))
+    scale = max(float(np.abs(m).max()) for m in (Sd, Sa, Mu, Mb))
     # scaled residuals below this are double-precision evaluation noise
     floor = FLOOR_FACTOR * np.finfo(float).eps * max(scale, 1.0) * max(p, q)
 
@@ -107,7 +109,7 @@ def newton_riccati(Md, Ma, Mu, Mb, tol: float = DEFAULT_TOL,
         res = np.linalg.norm(H / rs, np.inf)
         history.append(res)
         iterations += 1
-        if X.size and (X.min() < -1e-12 or X.max() > 1.0 + 1e-12):
+        if X.min() < -1e-12 or X.max() > 1.0 + 1e-12:
             in_box = False
     if res > tol and hres > floor:
         raise NoConvergence(
@@ -127,7 +129,7 @@ def _defect_correct(X, Sd, Sa, Mu, Mb, rs, passes: int = 2):
     Jacobian recovers the lost digits.  No-op on platforms where
     ``numpy.longdouble`` is not wider than double.
     """
-    if np.finfo(np.longdouble).eps >= np.finfo(float).eps or X.size == 0:
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
         return X
     solve = sylvester_solver(Sa / rs + X @ Mb, Mu + Mb @ X)
     data_l = [m.astype(np.longdouble) for m in (Sd, Sa, Mu, Mb, rs)]

@@ -212,6 +212,12 @@ class TestCase:
         summary = capsys.readouterr().out
         assert "e_inf(0.0001) = 5.11e-08 reference 5.11e-08 PASS" in summary
 
+    def test_2a_summary_checks_errata(self, capsys):
+        assert main(["case", "--id", "2a", "--eps-grid", "1e-4:1e-2:3"]) == 0
+        summary = capsys.readouterr().out
+        assert "FAIL" not in summary
+        assert "reference 2.08e-12 (published 1.92e-12, erratum) PASS" in summary
+
     def test_deterministic_csv_body(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["case", "--id", "3b", "--eps-grid", "1e-4:1e-2:4", "--out", str(a)])

@@ -22,6 +22,27 @@ class TestValidateModel:
         with pytest.raises(Reducible):
             validate_model([[-1.0, 1.0], [0.0, 0.0]], [1.0, -1.0])
 
+    @pytest.mark.parametrize("n", range(2, 34))
+    def test_directed_cycle(self, n):
+        # the cycle's diameter n - 1 is the longest path reachability must cover
+        A = np.zeros((n, n))
+        A[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        np.fill_diagonal(A, -1.0)
+        c = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        assert validate_model(A, c).n == n
+        A[n - 1, 0] = A[n - 1, n - 1] = 0.0
+        with pytest.raises(Reducible):
+            validate_model(A, c)
+
+    def test_strong_connectivity_matches_matrix_power(self):
+        from mmfq.core import _strongly_connected
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            adj = rng.random((n, n)) < rng.uniform(0.05, 0.4)
+            walks = np.linalg.matrix_power(np.eye(n) + adj, max(n - 1, 1))
+            assert _strongly_connected(adj) == bool((walks > 0).all())
+
     def test_case_1a_fifteen_phases(self, case_1a):
         model, _ = case_1a
         assert model.n == 15

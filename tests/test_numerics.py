@@ -182,6 +182,11 @@ class TestStableSpectrum:
         from mmfq.numerics import stable_spectrum
         assert stable_spectrum(np.array([[0.5]])) is False
 
+    def test_non_normal_stable(self):
+        # exp(M) grows a thousandfold before it decays; the spectrum is {-1e-3}
+        from mmfq.numerics import stable_spectrum
+        assert stable_spectrum(np.array([[-1e-3, 1e3], [0.0, -1e-3]])) is True
+
 
 class TestConvIntegral:
     def test_zero_length(self):

@@ -6,7 +6,7 @@ from mmfq import (censor_zero_phases, expand, expand_general, expand_to_minus,
                   series_blocks, solve_psi, solve_psi_at, validate_model,
                   validate_perturbation)
 from mmfq.errors import WrongRegime
-from mmfq.numerics import stable_spectrum
+from mmfq.numerics import stable_spectrum, sylvester_residual
 from mmfq.perturb import qtilde_blocks
 from mmfq.bench import error_norms
 
@@ -290,3 +290,46 @@ class TestSeriesBlocks:
             vals[eps] = sol_eps.U[np.ix_(rows, rows)]
         richardson = (1e-3 * vals[1e-4] - 1e-4 * vals[1e-3]) / (1e-3 - 1e-4)
         assert np.abs(richardson - sb.u_0_m_m).max() < 1e-4
+
+
+def _one_sided_cases():
+    from mmfq.bench import case_model
+    return {"to_plus": [TestToPlus().make(), case_model("1a")],
+            "to_minus": [TestToMinus().make(), case_model("1b")]}
+
+
+class TestOneSidedClosedForms:
+    """The one-sided regimes run the general elimination with one class
+    empty; their published closed forms check it independently."""
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_to_plus_up_rows_solve_closed_form(self, which):
+        model, spec = _one_sided_cases()["to_plus"][which]
+        sol = solve_psi(model)
+        exp = expand_to_plus(model, sol, spec)
+        ip, io, im = model.ip, model.i0, model.im
+        psi, U, K = sol.psi, sol.U, sol.K
+        cp = model.c_plus[:, None]
+        cm = model.c_minus_abs[None, :]
+        ct = spec.direction
+        N = np.linalg.inv(-model.block(io, io))
+        psi_op_m = N @ (model.block(io, im) + model.block(io, ip) @ psi)
+        K_p_op = model.block(ip, io) / cp + (psi / cm) @ model.block(im, io)
+        P_op = K_p_op @ (N * ct[io][None, :]) @ psi_op_m
+        rhs = -((psi / cm) * ct[im][None, :]) @ U \
+            - ((ct[ip][:, None] / cp) * psi) @ U - P_op @ U
+        assert sylvester_residual(K, U, rhs, exp.psi1[:model.n_plus]) <= 1e-12
+        assert np.abs(exp.psi_bar[model.n_plus:] - psi_op_m).max() <= 1e-12
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_to_minus_migrating_columns_closed_form(self, which):
+        model, spec = _one_sided_cases()["to_minus"][which]
+        sol = solve_psi(model)
+        exp = expand_to_minus(model, sol, spec)
+        ip, io, im = model.ip, model.i0, model.im
+        psi = sol.psi
+        N = np.linalg.inv(-model.block(io, io))
+        closed = (model.block(ip, io) / model.c_plus[:, None]
+                  + (psi / model.c_minus_abs[None, :]) @ model.block(im, io)) \
+            @ (N * np.abs(spec.direction[io])[None, :])
+        assert np.abs(exp.psi1[:, :model.n_zero] - closed).max() <= 1e-12
