@@ -94,3 +94,140 @@ class TestEstimateDensity:
         est = estimate_density(three_phase, cfg)
         assert est.atom[0] == 0.0  # up phase never sits at level zero
         assert est.atom[1] > 0.0 and est.atom[2] > 0.0
+
+
+# Golden values recorded from the scalar per-event walk.  Every path draws
+# from its own Philox stream (64 exponentials, then 64 uniforms, per
+# chunk), so any implementation that consumes the streams in that order
+# and repeats the per-step float expressions reproduces them exactly.
+
+def _case(case_id):
+    from mmfq.bench import case_model
+    return case_model(case_id)[0]
+
+
+PSI_1A_500 = {
+    20260808: [[20, 44, 72, 114, 250], [27, 52, 81, 121, 219], [31, 49, 75, 135, 210],
+               [59, 75, 77, 99, 190], [123, 93, 85, 76, 123]],
+    7: [[19, 32, 66, 120, 263], [29, 47, 78, 114, 232], [39, 47, 88, 112, 214],
+        [62, 76, 82, 107, 173], [123, 97, 79, 62, 139]],
+    -1: [[18, 39, 66, 134, 243], [22, 40, 85, 140, 213], [38, 52, 84, 125, 201],
+         [61, 79, 79, 115, 166], [138, 87, 67, 82, 126]],
+    2 ** 62 + 5: [[18, 33, 73, 134, 242], [31, 52, 68, 112, 237], [31, 62, 78, 124, 205],
+                  [71, 63, 83, 116, 167], [127, 86, 70, 78, 139]],
+}
+
+
+def _assert_counts(est, counts, reps, censored):
+    assert np.array_equal(est.estimate, np.array(counts) / reps)
+    assert est.censored_fraction == censored
+
+
+class TestPsiGolden:
+    @pytest.mark.parametrize("seed", sorted(PSI_1A_500))
+    def test_case_1a(self, seed):
+        est = estimate_psi(_case("1a"), SimConfig(replications=500, seed=seed))
+        _assert_counts(est, PSI_1A_500[seed], 500, 0.0)
+
+    def test_three_phase(self, three_phase):
+        est = estimate_psi(three_phase, SimConfig(replications=500, seed=99))
+        _assert_counts(est, [[176, 324]], 500, 0.0)
+
+    def test_case_2a_censored(self):
+        # about 100 jumps by t = 50: most paths are censored in a later chunk
+        est = estimate_psi(_case("2a"), SimConfig(replications=400, seed=3,
+                                                  max_time=50.0))
+        _assert_counts(est, [[7, 0, 0, 0, 0], [6, 0, 0, 0, 0], [12, 0, 0, 0, 0],
+                             [6, 0, 0, 0, 0], [9, 1, 0, 0, 0]], 400, 0.9795)
+
+    def test_case_2a_many_chunks(self):
+        # about 400 jumps by t = 200: censored paths use six or seven chunks
+        est = estimate_psi(_case("2a"), SimConfig(replications=100, seed=11,
+                                                  max_time=200.0))
+        _assert_counts(est, [[8, 1, 0, 0, 0], [9, 1, 0, 0, 0], [9, 1, 0, 0, 0],
+                             [5, 1, 0, 0, 0], [11, 1, 0, 0, 0]], 100, 0.906)
+
+    def test_crossing_before_max_time(self, three_phase):
+        # path 0 of seed 41 jumps at t = 0.268 and its next step, which
+        # would end at t = 1.534, crosses zero at t = 0.447
+        hit = estimate_psi(three_phase, SimConfig(replications=1, seed=41, max_time=1.0))
+        _assert_counts(hit, [[0, 1]], 1, 0.0)
+        late = estimate_psi(three_phase, SimConfig(replications=1, seed=41, max_time=0.4))
+        _assert_counts(late, [[0, 0]], 1, 1.0)
+
+
+def _fingerprint(est):
+    """17-digit per-phase sums of pdf, bin-weighted pdf, atom and overflow."""
+    k = np.arange(est.pdf.shape[0])[:, None]
+    return {name: ["%.17g" % v for v in values] for name, values in (
+        ("pdf", est.pdf.sum(axis=0)), ("moment", (est.pdf * k).sum(axis=0)),
+        ("atom", est.atom), ("overflow", est.overflow))}
+
+
+_ZEROS = ["0"] * 15
+
+
+class TestDensityGolden:
+    def test_oracle_settings(self):
+        est = estimate_density(_case("1a"), SimConfig(replications=3, seed=20260808,
+                                                      max_time=1e4, burn_in=100.0))
+        assert est.total_time == 29700.0
+        assert _fingerprint(est) == {
+            "pdf": ["0.00054821424970958265", "0.001112575463270736",
+                    "0.0015248593839268937", "0.0021954424942093411",
+                    "0.003701924454863577", "0.0015098601106266585",
+                    "0.0013738246318465166", "0.0019679416863483353",
+                    "0.0025403339584073878", "0.0025180520734868843",
+                    "0.0015619045981008287", "0.0015443218489430061",
+                    "0.0021309721940182174", "0.0042042456359871931",
+                    "0.008124199596574528"],
+            "moment": ["0.0046854247239787915", "0.0088754565837097146",
+                       "0.012039715959320548", "0.015467352590224914",
+                       "0.017450489899676524", "0.0098882276915596753",
+                       "0.013534880551367097", "0.019296730676165611",
+                       "0.030581652850575781", "0.023961336853194723",
+                       "0.014178630289029607", "0.010032552449042064",
+                       "0.012872339175973805", "0.023934117990923914",
+                       "0.052151165215099639"],
+            "atom": ["0", "0", "0", "0", "0", "0.00047024442262902903",
+                     "0.0014462304512298197", "0.0030382923350655172",
+                     "0.0066841129634516109", "0.01409792696633369",
+                     "0.029897829624624828", "0.062086790227564928",
+                     "0.12442867612650958", "0.25051446081491779",
+                     "0.50002370159161114"],
+            "overflow": _ZEROS}
+
+    def test_fine_bins_with_overflow(self):
+        est = estimate_density(_case("1a"), SimConfig(replications=2, seed=7,
+                                                      max_time=5000.0, burn_in=10.0),
+                               x_max=3.0, n_bins=3000)
+        assert est.total_time == 9980.0
+        assert _fingerprint(est) == {
+            "pdf": ["0.0846734340933369", "0.098497937605833724",
+                    "0.10003756142999759", "0.23659812547691109",
+                    "0.44176136284608264", "0.42828311865470298",
+                    "0.42171247269127576", "0.37582770154646117",
+                    "0.52665247797634895", "0.33472750297467591",
+                    "0.85879428020079307", "0.72133679923467342",
+                    "1.2573232664794187", "0.73500683821865243",
+                    "1.1937790800393286"],
+            "moment": ["69.978792364736393", "93.537890724246125",
+                       "97.722625566240893", "212.08083365687528",
+                       "177.14633187805364", "205.89417502321709",
+                       "170.13141938917556", "135.162663633997",
+                       "211.96907389710771", "158.10715225090883",
+                       "985.24727368764957", "745.31180532972428",
+                       "1445.0412352307071", "982.52235406872273",
+                       "1458.3558301940811"],
+            "atom": ["0", "0", "0", "0", "0", "0.00057892276787123811",
+                     "0.0016198844473811489", "0.0035423890554053166",
+                     "0.0077763228686290624", "0.016266508805932507",
+                     "0.030011569030409243", "0.059635102157241902",
+                     "0.12368073849294066", "0.24433744601257379",
+                     "0.50214875335682618"],
+            "overflow": ["0", "0", "0", "0", "2.1051658283825523e-05",
+                         "7.7335662376064145e-05", "0.00023379072740462419",
+                         "0.00038034365303160264", "0.00087240404267618205",
+                         "0.0003956574657464207", "0.00021020055366056565",
+                         "0.00032498124932838385", "7.1586032812501429e-05",
+                         "0", "0"]}
