@@ -80,10 +80,11 @@ def _boundary_generator(model: FluidModel, psi: np.ndarray) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _bracket(model: FluidModel, psi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Column factor [C+^{-1} | psi |C-|^{-1} | Theta], columns (up, down, zero)."""
-    return np.hstack([np.diag(1.0 / model.c_plus),
-                      psi / model.c_minus_abs[None, :], theta])
+def _row(model: FluidModel, v: np.ndarray, psi: np.ndarray,
+         theta: np.ndarray) -> np.ndarray:
+    """v [C+^{-1} | psi |C-|^{-1} | Theta], columns (up, down, zero)."""
+    return np.concatenate([v * (1.0 / model.c_plus),
+                           v @ (psi / model.c_minus_abs[None, :]), v @ theta])
 
 
 def _scatter(model: FluidModel, by_class: np.ndarray) -> np.ndarray:
@@ -127,8 +128,7 @@ def stationary_law(model: FluidModel, psi_sol: PsiSolution) -> StationaryLaw:
 def density_at(law: StationaryLaw, psi: np.ndarray, model: FluidModel,
                x: float) -> np.ndarray:
     """Stationary density vector at level x > 0, in original phase order."""
-    row = law.q @ matrix_exp(law.K * x) @ _bracket(model, psi, law.Theta)
-    return _scatter(model, row)
+    return _scatter(model, _row(model, law.q @ matrix_exp(law.K * x), psi, law.Theta))
 
 
 def zero_mass(law: StationaryLaw, model: FluidModel) -> np.ndarray:
@@ -196,12 +196,19 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
 
 def density1_at(fol: FirstOrderLaw, law: StationaryLaw, model: FluidModel,
                 psi: np.ndarray, psi1: np.ndarray, x: float) -> np.ndarray:
-    """First-order density correction at level x, in original phase order."""
-    first = np.hstack([np.zeros((model.n_plus, model.n_plus)),
-                       psi1 / model.c_minus_abs[None, :], fol.Theta1])
-    expKx = matrix_exp(law.K * x)
-    row = law.q @ expKx @ first \
-        + (fol.q1 @ expKx + law.q @ fol.L1(x)) @ _bracket(model, psi, law.Theta)
+    """First-order density correction at level x, in original phase order.
+
+    The row is a [0 | psi1 |C-|^{-1} | Theta1] + b [C+^{-1} | psi |C-|^{-1} | Theta]
+    with [a, b] = [q e^{Kx}, q1 e^{Kx} + q L1(x)] = [q, q1] exp([[K, K1], [0, K]] x).
+    """
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    p = model.n_plus
+    block = np.block([[law.K, fol.K1], [np.zeros_like(law.K), law.K]])
+    ab = np.concatenate([law.q, fol.q1]) @ matrix_exp(block * x)
+    a, b = ab[:p], ab[p:]
+    row = _row(model, b, psi, law.Theta)
+    row[p:] += np.concatenate([a @ (psi1 / model.c_minus_abs[None, :]), a @ fol.Theta1])
     return _scatter(model, row)
 
 

@@ -135,26 +135,41 @@ def psi1_rate_unaffected(model: FluidModel, psi_sol: PsiSolution,
     return solve_sylvester(psi_sol.K, psi_sol.U, rhs)
 
 
-def _series_m1(model, spec, psi, psi_op_om, psi_op_m):
-    """eps^{-1} coefficient blocks of U(eps) and K(eps).
-
-    In the perturbed partition, U(eps) = |C-(eps)^{-1}| (A_{--} + A_{-+} Psi(eps))
-    with rows (om, m); the om rows carry 1/(eps |Ct_om|), so their leading
-    coefficient is the eps^{-1} block.  Same mechanism for the op rows of
-    K(eps).
-    """
-    ip, im = model.ip, model.im
+def _k_m1(model, spec, psi_op_om):
+    """eps^{-1} coefficient blocks (op, op) and (op, p) of K(eps): in the
+    perturbed partition the op rows of K(eps) carry 1/(eps Ct_op)."""
     io_p, io_m = spec.oplus, spec.ominus
     ct_op = spec.direction[io_p][:, None]
+    psi_cm = psi_op_om / np.abs(spec.direction[io_m])[None, :]
+    k_m1_op_op = model.block(io_p, io_p) / ct_op + psi_cm @ model.block(io_m, io_p)
+    k_m1_op_p = model.block(io_p, model.ip) / ct_op + psi_cm @ model.block(io_m, model.ip)
+    return k_m1_op_op, k_m1_op_p
+
+
+def _u_blocks(model, spec, psi, psi_op_om, psi_op_m):
+    """Blocks eps^{-1} (om, om), (om, m) and eps^0 (m, m), (m, om) of
+    U(eps) = |C-(eps)^{-1}| (A_{--} + A_{-+} Psi(eps)), rows (om, m); the om
+    rows carry 1/(eps |Ct_om|)."""
+    ip, im = model.ip, model.im
+    io_p, io_m = spec.oplus, spec.ominus
+    cm = model.c_minus_abs[:, None]
     ct_om = np.abs(spec.direction[io_m])[:, None]
     u_m1_om_om = (model.block(io_m, io_m) + model.block(io_m, io_p) @ psi_op_om) / ct_om
     u_m1_om_m = (model.block(io_m, im) + model.block(io_m, ip) @ psi
                  + model.block(io_m, io_p) @ psi_op_m) / ct_om
-    k_m1_op_op = model.block(io_p, io_p) / ct_op \
-        + (psi_op_om / np.abs(spec.direction[io_m])[None, :]) @ model.block(io_m, io_p)
-    k_m1_op_p = model.block(io_p, ip) / ct_op \
-        + (psi_op_om / np.abs(spec.direction[io_m])[None, :]) @ model.block(io_m, ip)
-    return u_m1_om_om, u_m1_om_m, k_m1_op_op, k_m1_op_p
+    u_0_m_m = (model.block(im, im) + model.block(im, ip) @ psi
+               + model.block(im, io_p) @ psi_op_m) / cm
+    u_0_m_om = (model.block(im, io_m) + model.block(im, io_p) @ psi_op_om) / cm
+    return u_m1_om_om, u_m1_om_m, u_0_m_m, u_0_m_om
+
+
+def _series(model, spec, u_blocks, k_blocks, psi1_p_om, psi1_op_om) -> SeriesBlocks:
+    """SeriesBlocks from the blocks in hand plus the eps^0 (om, om) block of U."""
+    io_m = spec.ominus
+    u_0_om_om = (model.block(io_m, model.ip) @ psi1_p_om
+                 + model.block(io_m, spec.oplus) @ psi1_op_om) \
+        / np.abs(spec.direction[io_m])[:, None]
+    return SeriesBlocks(*u_blocks, u_0_om_om, *k_blocks)
 
 
 def series_blocks(model: FluidModel, spec: PerturbationSpec,
@@ -171,22 +186,9 @@ def series_blocks(model: FluidModel, spec: PerturbationSpec,
         u_0_m_om  = |C-^{-1}| (A_m,om + A_m,op psi_op_om)
         u_0_om_om = |Ct_om^{-1}| (A_om,p psi1_p_om + A_om,op psi1_op_om)
     """
-    ip, im = model.ip, model.im
-    io_p, io_m = spec.oplus, spec.ominus
-    psi = psi_sol.psi
-    cm = model.c_minus_abs[:, None]
-    ct_om = np.abs(spec.direction[io_m])[:, None]
-    u_m1_om_om, u_m1_om_m, k_m1_op_op, k_m1_op_p = _series_m1(
-        model, spec, psi, psi_op_om, psi_op_m)
-    u_0_m_m = (model.block(im, im) + model.block(im, ip) @ psi
-               + model.block(im, io_p) @ psi_op_m) / cm
-    u_0_m_om = (model.block(im, io_m) + model.block(im, io_p) @ psi_op_om) / cm
-    u_0_om_om = (model.block(io_m, ip) @ psi1_p_om
-                 + model.block(io_m, io_p) @ psi1_op_om) / ct_om
-    return SeriesBlocks(u_m1_om_om=u_m1_om_om, u_m1_om_m=u_m1_om_m,
-                        u_0_m_m=u_0_m_m, u_0_m_om=u_0_m_om,
-                        u_0_om_om=u_0_om_om, k_m1_op_op=k_m1_op_op,
-                        k_m1_op_p=k_m1_op_p)
+    return _series(model, spec,
+                   _u_blocks(model, spec, psi_sol.psi, psi_op_om, psi_op_m),
+                   _k_m1(model, spec, psi_op_om), psi1_p_om, psi1_op_om)
 
 
 def _eliminate(model: FluidModel, psi_sol: PsiSolution,
@@ -233,8 +235,7 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
         raise InnerRiccatiDiverged(str(exc)) from exc
 
     # the K-blocks of the eps^{-1} coefficients do not involve psi_op_m
-    _, _, k_m1_op_op, k_m1_op_p = _series_m1(
-        model, spec, psi, psi_op_om, np.zeros((len(io_p), model.n_minus)))
+    k_blocks = k_m1_op_op, k_m1_op_p = _k_m1(model, spec, psi_op_om)
     neg_k_inv = _inv(-k_m1_op_op)
 
     # 2. psi_op_m = (-K_m1_op_op)^{-1} (Ct_op^{-1}(A_op,m + A_op,p psi)
@@ -244,8 +245,8 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
         + (psi_op_om / ct_om_col) @ (model.block(io_m, im)
                                      + model.block(io_m, ip) @ psi))
 
-    # finalize the eps^{-1} blocks with the true psi_op_m
-    u_m1_om_om, u_m1_om_m, _, _ = _series_m1(model, spec, psi, psi_op_om, psi_op_m)
+    u_blocks = u_m1_om_om, u_m1_om_m, u_0_m_m, u_0_m_om = _u_blocks(
+        model, spec, psi, psi_op_om, psi_op_m)
     neg_u_inv = _inv(-u_m1_om_om)
 
     # 3. psi1_p_om = (C+^{-1}(A_p,om + A_p,op psi_op_om)
@@ -257,13 +258,11 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     # 4. Sylvester for psi1_op_om:
     #    K_m1_op_op X + X U_m1_om_om = -K_m1_op_p psi1_p_om
     #                                  - psi_op_m |C-^{-1}| (A_m,om + A_m,op psi_op_om)
-    u_0_m_om = (model.block(im, io_m) + model.block(im, io_p) @ psi_op_om) / cm_row
     psi1_op_om = solve_sylvester(
         k_m1_op_op, u_m1_om_om,
         -k_m1_op_p @ psi1_p_om - psi_op_m @ u_0_m_om)
 
-    sb = series_blocks(model, spec, psi_sol, psi_op_om, psi_op_m,
-                       psi1_p_om, psi1_op_om)
+    sb = _series(model, spec, u_blocks, k_blocks, psi1_p_om, psi1_op_om)
 
     # eps^0 blocks of K(eps), including the contribution of psi1_p_om
     # through the om rows of |C-(eps)^{-1}|
@@ -275,7 +274,7 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     # eps^1 coefficient of U_m,om(eps)
     u_1_m_om = (model.block(im, ip) @ psi1_p_om
                 + model.block(im, io_p) @ psi1_op_om) / cm_row \
-        + (ct_m[:, None] / cm_row) * sb.u_0_m_om
+        + (ct_m[:, None] / cm_row) * u_0_m_om
 
     # 5. eps^1 of the (p, om) block fixes psi2_p_om = (G + X u_0_m_om) (-U_m1)^{-1}
     #    as an affine function of X = psi1_p_m, with the constant part
@@ -291,16 +290,16 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     # block; the Sylvester operator pair collapses to the censored (K, U)
     # of the base model, which the tests verify numerically
     k_hat = k_0_p_p + k_0_p_op @ neg_k_inv @ k_m1_op_p
-    u_hat = sb.u_0_m_m + sb.u_0_m_om @ neg_u_inv @ u_m1_om_m
+    u_hat = u_0_m_m + u_0_m_om @ neg_u_inv @ u_m1_om_m
     r1 = ct_p_scale * ((model.block(ip, im) + model.block(ip, ip) @ psi
                         + model.block(ip, io_p) @ psi_op_m) / cp) \
-        - ((psi / cm_col) * ct_m[None, :]) @ sb.u_0_m_m
-    w0 = psi1_op_om @ u_m1_om_m + psi_op_m @ sb.u_0_m_m
+        - ((psi / cm_col) * ct_m[None, :]) @ u_0_m_m
+    w0 = psi1_op_om @ u_m1_om_m + psi_op_m @ u_0_m_m
     rhs = r1 - k_0_p_op @ neg_k_inv @ w0 - G @ neg_u_inv @ u_m1_om_m
     psi1_p_m = solve_sylvester(k_hat, u_hat, rhs)
 
     psi1_op_m = neg_k_inv @ (k_m1_op_p @ psi1_p_m + w0)
-    psi2_p_om = (G + psi1_p_m @ sb.u_0_m_om) @ neg_u_inv
+    psi2_p_om = (G + psi1_p_m @ u_0_m_om) @ neg_u_inv
 
     psi_bar = np.block([
         [np.zeros((model.n_plus, len(io_m))), psi],

@@ -6,23 +6,30 @@ first passage below zero; the hitting phase is tallied.  The reflected
 process clamps the level at zero instead and accumulates occupation time
 into level bins for a density histogram.
 
-Each replication draws from its own generator keyed by (seed, replication
-counter), so estimates are reproducible bit for bit and independent of
-execution order.
+Path k (``row * replications + r`` in ``estimate_psi``, the replication
+in ``estimate_density``) draws from the Philox stream keyed by
+(seed mod 2**64, k) in chunks of 64 exponentials, then 64 uniforms; its
+i-th step uses the i-th of each.  Paths run in numpy with the float
+operations of a step-by-step walk, so estimates are reproducible bit for
+bit and independent of execution order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FluidModel
-from .errors import NotRecurrent
+from .errors import EmptySide, NotRecurrent
 from . import core
 
-_CHUNK = 64
+# work-array sizes: memory stays flat in the number of replications
+_CHUNK = 64          # draws of each kind per refill of a stream
+_PATHS = 256         # path slots that estimate_psi advances together
+_WINDOW = 8          # chunks that estimate_density draws at a time
+_LOOKUP = 1 << 15    # (step, phase, jump) comparisons made at once
+_CELLS = 1 << 12     # (step, bin) histogram cells expanded at once
 
 
 @dataclass(frozen=True)
@@ -66,54 +73,53 @@ class DensityEstimate:
     total_time: float
 
 
-def _walk_tables(model: FluidModel):
-    """Python-native jump tables for the tight per-step loop."""
+def _jump_tables(model: FluidModel):
+    """Exit rates, cumulative jump probabilities and jump targets.
+
+    Row k of ``cum`` holds the cumulative probabilities of the jumps out
+    of phase k, the last one exactly 1, padded with +inf; row k of
+    ``target`` holds the phases they lead to.
+    """
     A = model.A
     n = model.n
-    rates = [-float(A[k, k]) for k in range(n)]
-    cum_rows = []
-    targets = []
-    for k in range(n):
-        row = [(float(A[k, j]), j) for j in range(n) if j != k and A[k, j] > 0]
-        total = sum(w for w, _ in row)
-        acc = 0.0
-        cums, tgts = [], []
-        for w, j in row:
-            acc += w / total
-            cums.append(acc)
-            tgts.append(j)
-        cums[-1] = 1.0  # guard against round-off at the top
-        cum_rows.append(cums)
-        targets.append(tgts)
-    return rates, cum_rows, targets, [float(x) for x in model.c]
+    rows = [[j for j in range(n) if j != k and A[k, j] > 0] for k in range(n)]
+    cum = np.full((n, max(map(len, rows))), np.inf)
+    target = np.zeros(cum.shape, dtype=np.intp)
+    for k, js in enumerate(rows):
+        w = A[k, js]
+        # sequential sums: the boundaries decide every jump of every path
+        cum[k, :len(js)] = np.cumsum(w / sum(w.tolist()))
+        cum[k, len(js) - 1] = 1.0  # guard against round-off at the top
+        target[k, :len(js)] = js
+    return -np.diag(A), cum, target
 
 
-def _rng_for(seed: int, counter: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed % (1 << 64)), np.uint64(counter)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _next_phase(cum, target, ph, u):
+    """Phase after a jump out of ``ph`` driven by the uniform ``u`` (both
+    broadcast): ``bisect_left`` on row ``ph`` of ``cum``, the first entry
+    not below u (every row holds 1 > u)."""
+    below = cum.take(ph, axis=0) < u[..., None]
+    return target[ph, below.argmin(axis=-1)]
 
 
-class _Draws:
-    """Chunked deterministic stream of exponentials and uniforms."""
+class _Streams:
+    """The Philox streams of one seed through one reused generator: assigning
+    the state of a fresh key costs a tenth of building a generator."""
 
-    __slots__ = ("rng", "exps", "unis", "i")
+    def __init__(self, seed: int):
+        self.bits = np.random.Philox(key=np.array([seed % (1 << 64), 0], dtype=np.uint64))
+        self.gen = np.random.Generator(self.bits)
+        self._fresh = self.bits.state
 
-    def __init__(self, rng):
-        self.rng = rng
-        self._refill()
+    def start(self, counter: int) -> None:
+        """Rewind to the beginning of stream ``counter``."""
+        self._fresh["state"]["key"][1] = counter
+        self.bits.state = self._fresh
 
-    def _refill(self):
-        self.exps = self.rng.standard_exponential(_CHUNK).tolist()
-        self.unis = self.rng.random(_CHUNK).tolist()
-        self.i = 0
-
-    def next(self):
-        if self.i >= _CHUNK:
-            self._refill()
-        e, u = self.exps[self.i], self.unis[self.i]
-        self.i += 1
-        return e, u
+    def chunk(self, exps: np.ndarray, unis: np.ndarray) -> None:
+        """Draw the next chunk: exponentials first, then uniforms."""
+        self.gen.standard_exponential(out=exps)
+        self.gen.random(out=unis)
 
 
 def estimate_psi(model: FluidModel, cfg: SimConfig) -> PsiEstimate:
@@ -121,43 +127,136 @@ def estimate_psi(model: FluidModel, cfg: SimConfig) -> PsiEstimate:
 
     Runs ``cfg.replications`` paths per starting up phase; paths that have
     not crossed below zero by ``cfg.max_time`` count toward
-    ``censored_fraction``.
+    ``censored_fraction``.  ``_PATHS`` slots advance one chunk of steps
+    per pass, and the slots of finished paths take the next paths.
     """
-    rates, cum_rows, targets, c = _walk_tables(model)
-    n_plus, n_minus = model.n_plus, model.n_minus
-    minus_col = {int(k): j for j, k in enumerate(model.im)}
-    counts = np.zeros((n_plus, n_minus), dtype=np.int64)
-    censored = 0
-    max_time = cfg.max_time
-    reps = cfg.replications
-    for row, start in enumerate(model.ip):
-        start = int(start)
-        for r in range(reps):
-            draws = _Draws(_rng_for(cfg.seed, row * reps + r))
-            y = 0.0
-            t = 0.0
-            ph = start
-            while True:
-                e, u = draws.next()
-                tau = e / rates[ph]
-                ck = c[ph]
-                if ck < 0.0 and y + ck * tau < 0.0:
-                    if t + y / (-ck) > max_time:
-                        censored += 1
-                    else:
-                        counts[row, minus_col[ph]] += 1
-                    break
-                y += ck * tau
-                t += tau
-                if t > max_time:
-                    censored += 1
-                    break
-                cums = cum_rows[ph]
-                ph = targets[ph][bisect_left(cums, u)]
-    est = counts / reps
+    if model.n_plus == 0 or model.n_minus == 0:
+        raise EmptySide("model needs at least one positive and one negative rate")
+    rates, cum, target = _jump_tables(model)
+    c = model.c
+    n_minus, reps, max_time = model.n_minus, cfg.replications, cfg.max_time
+    column = np.zeros(model.n, dtype=np.intp)
+    column[model.im] = np.arange(n_minus)
+    counts = np.zeros(model.n_plus * n_minus, dtype=np.int64)
+    total = model.n_plus * reps
+    size = min(_PATHS, total)
+    streams = _Streams(cfg.seed)
+    steps = np.empty((size, _CHUNK), dtype=np.intp)  # phase during each step
+    # per slot the time and the level at the start of the chunk; after them
+    # T holds the chunk's exponentials, then the time after each step, and Y
+    # the chunk's uniforms, then the level after each step
+    T = np.zeros((size, _CHUNK + 1))
+    Y = np.zeros_like(T)
+    exps, unis = T[:, 1:], Y[:, 1:]
+    path = np.zeros(size, dtype=np.intp)  # stream counter row * reps + r
+    ph = np.zeros(size, dtype=np.intp)
+    active = np.zeros(size, dtype=bool)
+    saved = {}  # slot -> stream state after the latest chunk of its path
+    censored = loaded = 0
+    while True:
+        new = np.flatnonzero(~active)[:total - loaded]
+        for s, counter in zip(new.tolist(), range(loaded, loaded + new.size)):
+            streams.start(counter)
+            streams.chunk(exps[s], unis[s])
+            saved.pop(s, None)
+        path[new] = np.arange(loaded, loaded + new.size)
+        ph[new] = model.ip[path[new] // reps]
+        Y[new, 0] = T[new, 0] = 0.0
+        active[new] = True
+        loaded += new.size
+        if not active.any():
+            break
+        # idle slots step along too; their results are never read
+        for i in range(_CHUNK):
+            steps[:, i] = ph
+            ph = _next_phase(cum, target, ph, unis[:, i])
+        # tau = e / rate and the level change c * tau, summed in step order
+        np.divide(exps, rates.take(steps, out=unis), out=exps)
+        np.multiply(c.take(steps, out=unis), exps, out=unis)
+        np.cumsum(Y, axis=1, out=Y)
+        np.cumsum(T, axis=1, out=T)
+        # a path ends at its first step that goes below zero or past max_time
+        end = (Y[:, 1:] < 0.0) | (T[:, 1:] > max_time)
+        ended = np.flatnonzero(end.any(axis=1) & active)
+        active[ended] = False
+        last = end[ended].argmax(axis=1)
+        down = Y[ended, last + 1] < 0.0
+        s, i = ended[down], last[down]
+        # a crossing counts unless it happens after max_time
+        hit = ~(T[s, i] + Y[s, i] / -c[steps[s, i]] > max_time)
+        s, i = s[hit], i[hit]
+        counts += np.bincount(path[s] // reps * n_minus + column[steps[s, i]],
+                              minlength=counts.size)
+        censored += ended.size - s.size
+        T[ended] = Y[ended] = 0.0  # an idle slot stays at rest
+        Y[:, 0] = Y[:, -1]
+        T[:, 0] = T[:, -1]
+        # continuing paths draw their next chunk: from the saved stream
+        # state, or by replaying the first chunk at the first refill
+        for s in np.flatnonzero(active).tolist():
+            if s in saved:
+                streams.bits.state = saved[s]
+            else:
+                streams.start(int(path[s]))
+                streams.chunk(exps[s], unis[s])
+            streams.chunk(exps[s], unis[s])
+            saved[s] = streams.bits.state
+    est = counts.reshape(model.n_plus, n_minus) / reps
     stderr = np.sqrt(est * (1.0 - est) / reps)
     return PsiEstimate(estimate=est, stderr=stderr,
-                       censored_fraction=censored / (n_plus * reps))
+                       censored_fraction=censored / total)
+
+
+def _reflected_steps(streams: _Streams, tables, c: np.ndarray, ph: int,
+                     max_time: float):
+    """Steps of one reflected path up to ``max_time``, a window at a time.
+
+    Yields arrays (phase, t, tau, t + tau, y) of consecutive steps: the
+    step length is ``min(e / rate, max_time - t)``, and ``y``, the level
+    at the start of each step, follows ``y <- max(0, y + c tau)`` in step
+    order.  Only the phase chain and that recursion are sequential.
+    """
+    rates, cum, target = tables
+    n = rates.size
+    size = _WINDOW * _CHUNK
+    exps = np.empty((_WINDOW, _CHUNK))
+    unis = np.empty_like(exps)
+    nxt = np.empty((size, n), dtype=np.intp)
+    block = max(1, _LOOKUP // cum.size)
+    y = t = 0.0
+    pos = size
+    while t < max_time:
+        if pos == size:
+            for k in range(_WINDOW):
+                streams.chunk(exps[k], unis[k])
+            for s in range(0, size, block):
+                nxt[s:s + block] = _next_phase(cum, target, np.arange(n),
+                                               unis.reshape(-1, 1)[s:s + block])
+            table = nxt.ravel().tolist()  # table[s * n + p]: phase after step s from p
+            pos = 0
+        chain = [ph]
+        for s in range(pos * n, size * n, n):
+            ph = table[s + ph]
+            chain.append(ph)
+        P = np.array(chain[:-1])
+        tau = exps.ravel()[pos:] / rates[P]
+        T = np.cumsum(np.concatenate(([t], tau)))  # T[k]: start of step k
+        # the first step that starts at max_time or is cut short by it
+        cut = (T[:-1] >= max_time) | (max_time - T[:-1] < tau)
+        K = int(cut.argmax()) if cut.any() else tau.size
+        if K < tau.size and T[K] < max_time:
+            tau[K] = max_time - T[K]
+            T[K + 1] = T[K] + tau[K]
+            K += 1
+        P, tau = P[:K], tau[:K]
+        levels = []
+        for d in (c[P] * tau).tolist():
+            levels.append(y)
+            y += d
+            if y < 0.0:
+                y = 0.0
+        yield P, T[:K], tau, T[1:K + 1], np.array(levels)
+        t, ph, pos = float(T[K]), chain[K], pos + K
 
 
 def estimate_density(model: FluidModel, cfg: SimConfig, x_max: float = 20.0,
@@ -167,71 +266,65 @@ def estimate_density(model: FluidModel, cfg: SimConfig, x_max: float = 20.0,
     Each replication runs the reflected process to ``cfg.max_time`` and
     accumulates occupation time after ``cfg.burn_in``; sojourns split
     exactly across bin boundaries.  Level-zero time (negative or zero
-    rates at the boundary) goes into the per-phase atom.
+    rates at the boundary) goes into the per-phase atom.  Every cell
+    receives its contributions in step order.
     """
     if core.mean_drift(model) >= 0:
         raise NotRecurrent("density estimation requires negative drift")
-    rates, cum_rows, targets, c = _walk_tables(model)
     n = model.n
     edges = np.linspace(0.0, x_max, n_bins + 1)
-    occupancy = np.zeros((n_bins, n))
+    hi = np.append(edges[1:], np.inf)  # upper bin edges; bin n_bins is the overflow
+    occupancy = np.zeros((n_bins + 1, n))
     atom = np.zeros(n)
-    overflow = np.zeros(n)
     burn_in, max_time = cfg.burn_in, cfg.max_time
-
-    def moving(ph, t0, t1, y0, ck):
-        """Accumulate a linear segment y(t) = y0 + ck (t - t0) on [t0, t1)."""
-        lo = max(t0, burn_in)
-        if lo >= t1:
-            return
-        y_lo = y0 + ck * (lo - t0)
-        y_hi = y0 + ck * (t1 - t0)
-        a, b = min(y_lo, y_hi), max(y_lo, y_hi)
-        if ck == 0.0:
-            dur = t1 - lo
-            if a >= x_max:
-                overflow[ph] += dur
-            else:
-                occupancy[min(int(a / x_max * n_bins), n_bins - 1), ph] += dur
-            return
-        speed = abs(ck)
-        if b > x_max:
-            overflow[ph] += (b - max(a, x_max)) / speed
-        seg = np.clip(np.minimum(b, edges[1:]) - np.maximum(a, edges[:-1]),
-                      0.0, None)
-        occupancy[:, ph] += seg / speed
-
-    for r in range(cfg.replications):
-        draws = _Draws(_rng_for(cfg.seed, r))
-        y = 0.0
-        t = 0.0
-        ph = int(model.ip[0]) if model.n_plus else 0
-        while t < max_time:
-            e, u = draws.next()
-            tau = min(e / rates[ph], max_time - t)
-            ck = c[ph]
-            if y == 0.0 and ck <= 0.0:
-                lo = max(t, burn_in)
-                if t + tau > lo:
-                    atom[ph] += t + tau - lo
-            elif ck < 0.0 and y + ck * tau < 0.0:
-                t_hit = t + y / (-ck)
-                moving(ph, t, t_hit, y, ck)
-                lo = max(t_hit, burn_in)
-                if t + tau > lo:
-                    atom[ph] += t + tau - lo
-                y = 0.0
-            else:
-                moving(ph, t, t + tau, y, ck)
-                y += ck * tau
-            t += tau
-            cums = cum_rows[ph]
-            ph = targets[ph][bisect_left(cums, u)]
     total = cfg.replications * max(max_time - burn_in, 0.0)
+    if n == 1:
+        # a recurrent one-phase model has a negative rate: it stays at zero
+        atom[0] = total
+    else:
+        tables = _jump_tables(model)
+        streams = _Streams(cfg.seed)
+        start = int(model.ip[0]) if model.n_plus else 0
+        for r in range(cfg.replications):
+            streams.start(r)
+            for P, t0, tau, t1, y0 in _reflected_steps(streams, tables, model.c,
+                                                       start, max_time):
+                ck = model.c[P]
+                idle = (y0 == 0.0) & (ck <= 0.0)  # the whole step at level zero
+                hits = ~idle & (y0 + ck * tau < 0.0)  # reaches zero within the step
+                t_end = t1.copy()
+                t_end[hits] = t0[hits] + y0[hits] / -ck[hits]
+                at_zero = np.maximum(np.where(idle, t0, t_end), burn_in)
+                np.add.at(atom, P, np.where((idle | hits) & (t1 > at_zero), t1 - at_zero, 0.0))
+                # the moving part of each step: linear from t0 to t_end
+                lo = np.maximum(t0, burn_in)
+                keep = np.flatnonzero(~idle & (lo < t_end))
+                P, t0, t_end, y0, ck, lo = (v[keep] for v in (P, t0, t_end, y0, ck, lo))
+                y_lo, y_hi = y0 + ck * (lo - t0), y0 + ck * (t_end - t0)
+                a, b = np.minimum(y_lo, y_hi), np.maximum(y_lo, y_hi)
+                flat = ck == 0.0
+                speed = np.where(flat, 1.0, np.abs(ck))
+                dur = t_end - lo
+                # bins first .. first + count - 1 meet the segment; a flat step
+                # sits in one bin
+                first = np.where(flat, np.where(a >= x_max, n_bins, np.minimum(
+                    (a / x_max * n_bins).astype(np.intp), n_bins - 1)),
+                    np.searchsorted(hi, a, side="right"))
+                count = np.where(flat, 1, np.searchsorted(edges, b) - first)
+                groups = np.searchsorted(np.cumsum(count), np.arange(0, count.sum(), _CELLS),
+                                         side="right").tolist()
+                for g0, g1 in zip(groups, groups[1:] + [count.size]):
+                    w = count[g0:g1]
+                    seg = np.repeat(np.arange(g0, g1), w)
+                    k = first[seg] + np.arange(seg.size) - np.repeat(np.cumsum(w) - w, w)
+                    part = np.clip(np.minimum(b[seg], hi[k]) - np.maximum(a[seg], edges[k]),
+                                   0.0, None)
+                    np.add.at(occupancy, (k, P[seg]),
+                              np.where(flat[seg], dur[seg], part / speed[seg]))
     widths = np.diff(edges)[:, None]
     inv = np.argsort(model.perm)
     return DensityEstimate(edges=edges,
-                           pdf=(occupancy / total / widths)[:, inv],
+                           pdf=(occupancy[:n_bins] / total / widths)[:, inv],
                            atom=(atom / total)[inv],
-                           overflow=(overflow / total)[inv],
+                           overflow=(occupancy[n_bins] / total)[inv],
                            total_time=total)

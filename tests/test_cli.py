@@ -240,3 +240,9 @@ class TestSimulate:
     def test_zero_replications_is_usage_error(self, model_file, capsys):
         assert main(["simulate", model_file, "--replications", "0"]) == 2
         assert error_report(capsys)["error"] == "Usage"
+
+    def test_one_sided_model_is_empty_side(self, tmp_path, capsys):
+        path = tmp_path / "down.json"
+        path.write_text(json.dumps({"A": [[0.0]], "c": [-1.0]}))
+        assert main(["simulate", str(path), "--replications", "10"]) == 1
+        assert error_report(capsys)["error"] == "EmptySide"

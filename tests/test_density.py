@@ -148,6 +148,39 @@ class TestFirstOrder:
         p1 = np.concatenate([fol.p1_minus, fol.p1_zero])
         assert np.abs(p1 @ S + p @ S1).max() <= 1e-9
 
+    def test_case_2a_against_extended_precision(self):
+        # density1_at against its formula evaluated at 40 digits from the same
+        # double inputs, on the stiff case 2a at the grid points where the
+        # round-off of the double evaluation is largest
+        mpmath = pytest.importorskip("mpmath")
+        from mmfq.bench import case_model
+        model, _ = case_model("2a")
+        sol = solve_psi(model)
+        spec = validate_perturbation(model, "generator", random_generator_direction(
+            model, np.random.default_rng([1, 3])))
+        psi1 = psi1_generator(model, sol, spec.direction)
+        law = stationary_law(model, sol)
+        fol = first_order_law(model, sol, spec.direction, psi1)
+        xs = np.linspace(1e-9, 50.0 / abs(np.linalg.eigvals(law.K).real.max()), 501)
+        got = np.array([density1_at(fol, law, model, sol.psi, psi1, x) for x in xs])
+        p, cm = model.n_plus, model.c_minus_abs
+        block = np.block([[law.K, fol.K1], [np.zeros((p, p)), law.K]])
+        with mpmath.workdps(40):
+            for k in (1, 4, 8, 14, 15, 30, 100):
+                ab = mpmath.matrix([np.concatenate([law.q, fol.q1]).tolist()]) \
+                    * mpmath.expm(mpmath.matrix(block.tolist()) * xs[k])
+                a, b = ab[:p], ab[p:]  # q e^{Kx} and q1 e^{Kx} + q L1(x)
+                want = np.empty(model.n)
+                want[model.ip] = [b[i] / model.c_plus[i] for i in range(p)]
+                want[model.im] = [mpmath.fsum(a[i] * psi1[i, j] + b[i] * sol.psi[i, j]
+                                              for i in range(p)) / cm[j]
+                                  for j in range(model.n_minus)]
+                want[model.i0] = [mpmath.fsum(a[i] * fol.Theta1[i, j] + b[i] * law.Theta[i, j]
+                                              for i in range(p))
+                                  for j in range(model.n_zero)]
+                err = np.abs(got[k][model.perm] - want).max()
+                assert err <= 1e-12 * np.abs(got).max(), (k, err)
+
     def test_first_order_decay(self):
         model, spec, sol, psi1 = self.make(seed=64)
         law = stationary_law(model, sol)

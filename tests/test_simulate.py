@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmfq import solve_psi, validate_model
-from mmfq.errors import NotRecurrent
+from mmfq.errors import EmptySide, NotRecurrent
 from mmfq.simulate import SimConfig, estimate_density, estimate_psi
 
 
@@ -53,6 +53,12 @@ class TestEstimatePsi:
         z = np.abs(est.estimate - sol.psi) / np.maximum(est.stderr, 1e-9)
         assert (z <= 3.0).all()
 
+    @pytest.mark.parametrize("A, c", [([[0.0]], [-1.0]), ([[0.0]], [1.0]),
+                                      ([[-1.0, 1.0], [1.0, -1.0]], [0.0, -1.0])])
+    def test_one_sided_model(self, A, c):
+        with pytest.raises(EmptySide):
+            estimate_psi(validate_model(A, c), SimConfig(replications=10, seed=1))
+
     def test_stderr_scales_inverse_sqrt(self, three_phase):
         small = estimate_psi(three_phase, SimConfig(replications=1000, seed=3))
         large = estimate_psi(three_phase, SimConfig(replications=100000, seed=3))
@@ -88,6 +94,15 @@ class TestEstimateDensity:
         model = validate_model([[-1.0, 1.0], [1.0, -1.0]], [2.0, -1.0])
         with pytest.raises(NotRecurrent):
             estimate_density(model, SimConfig(replications=1, seed=0))
+
+    def test_one_phase_model_is_an_atom(self):
+        # the level never leaves zero: the exact law is the atom
+        model = validate_model([[0.0]], [-1.0])
+        cfg = SimConfig(replications=3, seed=2, max_time=50.0, burn_in=1.0)
+        est = estimate_density(model, cfg, x_max=5.0, n_bins=10)
+        assert est.atom.tolist() == [1.0]
+        assert not est.pdf.any() and not est.overflow.any()
+        assert est.pdf.shape == (10, 1)
 
     def test_atoms_only_on_nonpositive_rates(self, three_phase):
         cfg = SimConfig(replications=20, seed=13, max_time=200.0, burn_in=5.0)
@@ -146,6 +161,15 @@ class TestPsiGolden:
                                                   max_time=200.0))
         _assert_counts(est, [[8, 1, 0, 0, 0], [9, 1, 0, 0, 0], [9, 1, 0, 0, 0],
                              [5, 1, 0, 0, 0], [11, 1, 0, 0, 0]], 100, 0.906)
+
+    @pytest.mark.filterwarnings("error")
+    def test_long_paths_beside_idle_slots(self):
+        # 50 paths, seven of them censored after about 20000 jumps: most slots
+        # stay idle for hundreds of passes
+        est = estimate_psi(_case("2a"), SimConfig(replications=10, seed=1,
+                                                  max_time=1e4))
+        _assert_counts(est, [[4, 4, 0, 0, 0], [6, 2, 1, 0, 0], [7, 0, 0, 1, 0],
+                             [6, 2, 1, 0, 1], [6, 1, 0, 1, 0]], 10, 0.14)
 
     def test_crossing_before_max_time(self, three_phase):
         # path 0 of seed 41 jumps at t = 0.268 and its next step, which
@@ -231,3 +255,24 @@ class TestDensityGolden:
                          "0.0003956574657464207", "0.00021020055366056565",
                          "0.00032498124932838385", "7.1586032812501429e-05",
                          "0", "0"]}
+
+
+class TestNextPhase:
+    def test_matches_bisect_left_at_boundaries(self):
+        from bisect import bisect_left
+        from mmfq.simulate import _jump_tables, _next_phase
+        # dyadic jump probabilities make every cumulative boundary exact
+        A = np.array([[-4.0, 1.0, 1.0, 2.0], [2.0, -4.0, 2.0, 0.0],
+                      [0.0, 0.0, -1.0, 1.0], [1.0, 3.0, 0.0, -4.0]])
+        model = validate_model(A, [1.0, -1.0, 0.5, -2.0])
+        _, cum, target = _jump_tables(model)
+        for k in range(model.n):
+            row = cum[k][np.isfinite(cum[k])].tolist()
+            us = [0.0] + [v for b in row[:-1]
+                          for v in (np.nextafter(b, 0.0), b, np.nextafter(b, 1.0))]
+            us = np.array(us + [np.nextafter(1.0, 0.0)])
+            want = [target[k, bisect_left(row, u)] for u in us]
+            assert _next_phase(cum, target, np.full(us.size, k), us).tolist() == want
+            # the (step, phase) table form used by estimate_density
+            table = _next_phase(cum, target, np.arange(model.n), us[:, None])
+            assert table[:, k].tolist() == want
