@@ -71,7 +71,10 @@ def _grid(spec: str, log: bool) -> np.ndarray:
         a, b, n = float(a), float(b), int(n)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}, expected A:B:N") from exc
-    if n < 1 or a <= 0 and log:
+    # a linear grid is of levels x >= 0; a log grid (of eps) needs two
+    # positive finite ends and two points to fit a slope
+    low, high = sorted((a, b))
+    if n < 1 + log or not 0 <= low <= high < np.inf or log and low == 0:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}")
     if log:
         return np.logspace(np.log10(a), np.log10(b), n)

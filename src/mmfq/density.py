@@ -17,14 +17,14 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import FluidModel, censor_zero_phases
 from .errors import NotGeneratorKind, NotRecurrent, SingularNormalization, SingularSystem
-from .numerics import (conv_integral, group_inverse, matrix_exp, null_row_vector,
-                       solve_linear)
+# conv_integral stays bound because tracers wrap mmfq.density.conv_integral by name
+from .numerics import (conv_integral, group_inverse, matrix_exp,  # noqa: F401
+                       null_row_vector, solve_linear)
 from .perturb import qtilde_blocks
 from .riccati import PsiSolution
 from . import core
@@ -54,7 +54,6 @@ class FirstOrderLaw:
     q1: np.ndarray
     p1_minus: np.ndarray
     p1_zero: np.ndarray
-    L1: Callable[[float], np.ndarray]
 
 
 def _right_solve(B: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -127,7 +126,9 @@ def stationary_law(model: FluidModel, psi_sol: PsiSolution) -> StationaryLaw:
 
 def density_at(law: StationaryLaw, psi: np.ndarray, model: FluidModel,
                x: float) -> np.ndarray:
-    """Stationary density vector at level x > 0, in original phase order."""
+    """Stationary density vector at level x >= 0, in original phase order."""
+    if x < 0:
+        raise ValueError("x must be nonnegative")
     return _scatter(model, _row(model, law.q @ matrix_exp(law.K * x), psi, law.Theta))
 
 
@@ -190,8 +191,7 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
     q1 = q1_part + const * law.q
     return FirstOrderLaw(K1=K1, Theta1=Theta1, q1=q1,
                          p1_minus=p1[:model.n_minus],
-                         p1_zero=p1[model.n_minus:],
-                         L1=lambda x: conv_integral(K, K1, x))
+                         p1_zero=p1[model.n_minus:])
 
 
 def density1_at(fol: FirstOrderLaw, law: StationaryLaw, model: FluidModel,

@@ -8,7 +8,8 @@ is the minimal nonnegative solution of the quadratic matrix equation
 with Md = C+^{-1} Q_{+-}, Ma = C+^{-1} Q_{++}, Mu = |C-^{-1}| Q_{--},
 Mb = |C-^{-1}| Q_{-+} built from the censored generator blocks.  Newton
 steps from X0 = 0 are monotone for this equation class; each step solves
-one Sylvester equation with the current one-sided coefficients.
+one Sylvester equation with the current one-sided coefficients.  A tight
+solve ends with one double-precision shifted step (:func:`_defect_correct`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FluidModel, PerturbationSpec, censor_zero_phases, validate_model
+from .core import (FluidModel, PerturbationSpec, censor_zero_phases,
+                   stationary_phase_dist, validate_model)
 from .errors import (EmptySide, InvalidEpsilon, NoConvergence, NotAGenerator,
                      Reducible)
 # solve_linear stays bound because tracers wrap mmfq.riccati.solve_linear by name
@@ -29,8 +31,7 @@ MAX_HALVINGS = 20
 # residual floor relative to the coefficient scale; below this the iteration
 # has hit double-precision rounding and is accepted as converged
 FLOOR_FACTOR = 256.0
-# defect correction only makes sense when the requested accuracy is near
-# the double-precision limit
+# a solve this tight ends with the shifted Newton step of _defect_correct
 REFINE_THRESHOLD = 1e-10
 
 
@@ -53,8 +54,7 @@ class PsiSolution:
 
 
 def newton_riccati(Md, Ma, Mu, Mb, tol: float = DEFAULT_TOL,
-                   max_newton: int = DEFAULT_MAX_NEWTON,
-                   row_scale: np.ndarray | None = None):
+                   max_newton: int = DEFAULT_MAX_NEWTON, *, row_scale: np.ndarray):
     """Minimal nonnegative root of Md + Ma X + X Mu + X Mb X = 0.
 
     Damped Newton from X0 = 0: at iterate X solve
@@ -73,8 +73,6 @@ def newton_riccati(Md, Ma, Mu, Mb, tol: float = DEFAULT_TOL,
     X = np.zeros((p, q))
     if p == 0 or q == 0:
         return X, 0, (0.0,), True
-    if row_scale is None:
-        row_scale = np.ones(p)
     rs = np.asarray(row_scale, dtype=float)[:, None]
     Sd, Sa = rs * Md, rs * Ma
     scale = max(float(np.abs(m).max()) for m in (Sd, Sa, Mu, Mb))
@@ -114,43 +112,44 @@ def newton_riccati(Md, Ma, Mu, Mb, tol: float = DEFAULT_TOL,
     if res > tol and hres > floor:
         raise NoConvergence(
             f"residual {res:.3e} after {iterations} Newton steps (tol {tol:.0e})")
-    if tol <= REFINE_THRESHOLD:
-        X = _defect_correct(X, Sd, Sa, Mu, Mb, rs)
-        history[-1] = float(np.linalg.norm(scaled_residual(X) / rs, np.inf))
     return X, iterations, tuple(history), in_box
 
 
-def _defect_correct(X, Sd, Sa, Mu, Mb, rs, passes: int = 2):
-    """Mixed-precision defect correction of a converged Riccati iterate.
+def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb):
+    """One Newton step from X on a shifted equation: the new X and its
+    residual.  (The name is older than the method; tracers wrap it.)
 
-    When spec(K) nearly touches spec(-U) the solution is much more
-    sensitive than the residual suggests; re-evaluating the residual in
-    extended precision and correcting through the double-precision
-    Jacobian recovers the lost digits.  No-op on platforms where
-    ``numpy.longdouble`` is not wider than double.
+    Near zero drift spec(K) nearly touches spec(-U), and X is far less
+    accurate than its residual says.  A rank-one shift keeps psi a root and
+    moves the zero eigenvalue to -eta (He, Meini & Rhee 2001; Guo, Iannazzo
+    & Meini 2007).  With z = xi * |c|, xi stationary: for negative drift
+    psi 1 = 1, and Md + eta/q 1 1^T, Mu - eta/q 1 1^T shift U; else
+    z+^T psi = z-^T, and Ma - eta s 1 z+^T, Md + eta s 1 z-^T (s = 1/z+^T 1)
+    shift K.  The shifted residual is C+ F(X) from the censored blocks plus
+    eta times the defect of that identity: rounding C+ C+^{-1} Q or forming
+    eta-sized blocks would cost digits where a rate is tiny.
     """
-    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
-        return X
-    solve = sylvester_solver(Sa / rs + X @ Mb, Mu + Mb @ X)
-    data_l = [m.astype(np.longdouble) for m in (Sd, Sa, Mu, Mb, rs)]
+    cp = model.c_plus[:, None]
+    xi = stationary_phase_dist(model)
+    z_p, z_m = xi[model.ip] * model.c_plus, xi[model.im] * model.c_minus_abs
 
-    def residual_l(Y):
-        Sd_l, Sa_l, Mu_l, Mb_l, rs_l = data_l
-        Y = Y.astype(np.longdouble)
-        return Sd_l + Sa_l @ Y + rs_l * (Y @ Mu_l) + rs_l * (Y @ Mb_l @ Y)
+    def residual(Y):
+        return blocks.Q_pm + blocks.Q_pp @ Y + cp * (Y @ (Mu + Mb @ Y))
 
-    h_prev = residual_l(X)
-    for _ in range(passes):
-        x_new = X + solve(-h_prev.astype(float) / rs)
-        h_new = residual_l(x_new)
-        if np.abs(h_new).max(initial=0.0) >= np.abs(h_prev).max(initial=0.0):
-            break
-        X, h_prev = x_new, h_new
-    return X
+    if z_p.sum() < z_m.sum():
+        shift = np.abs(np.diag(Mu)).max() / X.shape[1]
+        U = Mu - shift + Mb @ X
+        H = residual(X) + cp * (shift * (1.0 - X.sum(axis=1)))[:, None]
+    else:
+        shift = np.abs(np.diag(Ma)).max() / z_p.sum()
+        Ma = Ma - shift * z_p
+        U = Mu + Mb @ X
+        H = residual(X) - cp * (shift * (z_p @ X - z_m))
+    X = X + sylvester_solver(Ma + X @ Mb, U)(-H / cp)
+    return X, float(np.linalg.norm(residual(X) / cp, np.inf))
 
 
-def _coefficients(model: FluidModel):
-    blocks = censor_zero_phases(model)
+def _coefficients(model: FluidModel, blocks):
     cp = model.c_plus[:, None]
     cm = model.c_minus_abs[:, None]
     Md = blocks.Q_pm / cp
@@ -162,7 +161,7 @@ def _coefficients(model: FluidModel):
 
 def build_UK(model: FluidModel, psi: np.ndarray):
     """Downward-record generator U and density exponent K for a given psi."""
-    Md, Ma, Mu, Mb = _coefficients(model)
+    Md, Ma, Mu, Mb = _coefficients(model, censor_zero_phases(model))
     U = Mu + Mb @ psi
     K = Ma + psi @ Mb
     return U, K
@@ -177,9 +176,13 @@ def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
     """
     if model.n_plus == 0 or model.n_minus == 0:
         raise EmptySide("model needs at least one positive and one negative rate")
-    Md, Ma, Mu, Mb = _coefficients(model)
+    blocks = censor_zero_phases(model)
+    Md, Ma, Mu, Mb = _coefficients(model, blocks)
     X, iterations, history, in_box = newton_riccati(
         Md, Ma, Mu, Mb, tol, max_newton, row_scale=model.c_plus)
+    if tol <= REFINE_THRESHOLD:
+        X, res = _defect_correct(model, blocks, X, Ma, Mu, Mb)
+        history = history[:-1] + (res,)
     U = Mu + Mb @ X
     K = Ma + X @ Mb
     return PsiSolution(psi=X, U=U, K=K, iterations=iterations,

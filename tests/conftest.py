@@ -77,6 +77,58 @@ def bd_identity_gap(model, spec, expansion):
     return float(np.abs(D - B).max())
 
 
+def mp_array(a):
+    """Exact elementwise conversion of a float array to mpmath numbers."""
+    import mpmath
+    return np.vectorize(mpmath.mpf, otypes=[object])(np.asarray(a, dtype=float))
+
+
+def oracle_psi(A, c, dps=50):
+    """First-return matrix of the model (A, c) at ``dps`` digits.
+
+    Uses none of the library's solver code.  With R the up and zero-rate
+    phases, the rows of F(X) = Q_{R-} + Q_{RR} X + C_R X (Mu + Mb X) over
+    the zero-rate phases are the censoring equations, so the up rows of
+    the minimal root are psi (rows and columns in canonical order).  The
+    generator is taken at ``dps`` digits with each diagonal entry set to
+    minus its row's off-diagonal sum: the rounded double diagonal is not
+    conservative, which moves the root near zero drift.  Monotone Newton
+    from X0 = 0 takes its steps from the double Kronecker Jacobian and its
+    residuals in double until the steps fall below 1e-6, then at ``dps``
+    digits until they fall below 1e-40.
+    """
+    import mpmath
+    A, c = np.asarray(A, dtype=float), np.asarray(c, dtype=float)
+    R = np.concatenate([np.flatnonzero(c > 0), np.flatnonzero(c == 0)])
+    M = np.flatnonzero(c < 0)
+    p, q = len(R), len(M)
+    with mpmath.workdps(dps):
+        A_mp = mp_array(A - np.diag(np.diag(A)))
+        A_mp[np.diag_indices_from(A_mp)] = -A_mp.sum(axis=1)
+        cm = mp_array(-c[M])[:, None]
+        exact = (A_mp[np.ix_(R, M)], A_mp[np.ix_(R, R)],
+                 A_mp[np.ix_(M, M)] / cm, A_mp[np.ix_(M, R)] / cm,
+                 mp_array(c[R])[:, None])
+        rounded = [m.astype(float) for m in exact]
+
+        def newton(X, coeffs, stop):
+            Q_RM, Q_RR, Mu, Mb, cR = coeffs
+            _, fQ_RR, fMu, fMb, fcR = rounded
+            for _ in range(100):
+                F = Q_RM + Q_RR @ X + cR * (X @ (Mu + Mb @ X))
+                Xf = X.astype(float)
+                J = (np.kron(np.eye(q), fQ_RR + fcR * (Xf @ fMb))
+                     + np.kron((fMu + fMb @ Xf).T, np.diag(fcR[:, 0])))
+                step = np.linalg.solve(J, -F.astype(float).reshape(-1, order="F"))
+                X = X + step.reshape((p, q), order="F")
+                if np.abs(step).max() < stop:
+                    return X
+            raise AssertionError("oracle Newton did not converge")
+
+        X = newton(np.zeros((p, q)), rounded, 1e-6)
+        return newton(mp_array(X), exact, 1e-40)[:int((c > 0).sum())]
+
+
 @pytest.fixture
 def two_phase():
     return validate_model([[-1.0, 1.0], [1.0, -1.0]], [1.0, -2.0])

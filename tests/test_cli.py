@@ -190,6 +190,19 @@ class TestDensity:
         assert main(["density", model_file, "--x", "nope"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "Usage"
 
+    def test_negative_level_is_usage_error(self, model_file, capsys):
+        assert main(["density", model_file, "--x=-1:2:3"]) == 2
+        assert error_report(capsys)["error"] == "Usage"
+
+    def test_negative_level_with_pert_is_usage_error(self, model_file, tmp_path,
+                                                      capsys):
+        pert = tmp_path / "pert.json"
+        pert.write_text(json.dumps({"kind": "generator",
+                                    "direction": [[-0.1, 0.1], [0.0, 0.0]]}))
+        assert main(["density", model_file, "--x=-1:2:3",
+                     "--pert", str(pert)]) == 2
+        assert error_report(capsys)["error"] == "Usage"
+
 
 class TestCase:
     def test_summary_and_csv(self, tmp_path, capsys):
@@ -202,6 +215,12 @@ class TestCase:
         body = out.read_text().splitlines()
         assert body[0].startswith("case_id,eps,")
         assert len(body) == 6
+
+    @pytest.mark.parametrize("grid", ["1e-4:0:5", "1e-4:1e-2:1"])
+    def test_bad_eps_grid_is_usage_error(self, grid, capsys):
+        # a zero end gave log10(0) = -inf; one point fit a slope with R^2 = -inf
+        assert main(["case", "--id", "1a", "--eps-grid", grid]) == 2
+        assert error_report(capsys)["error"] == "Usage"
 
     def test_unknown_case_exit_code(self, capsys):
         assert main(["case", "--id", "bogus"]) == 2

@@ -66,6 +66,13 @@ class TestStationaryLaw:
         law = stationary_law(model, sol)
         assert np.abs(density_at(law, sol.psi, model, 200.0)).max() <= 1e-12
 
+    def test_negative_level_rejected(self, case_1a):
+        # below level zero the exponential grows: case 1a gave entries of -26.8
+        model, _ = case_1a
+        sol = solve_psi(model)
+        with pytest.raises(ValueError):
+            density_at(stationary_law(model, sol), sol.psi, model, -1.0)
+
     def test_not_recurrent(self):
         model = validate_model([[-1.0, 1.0], [1.0, -1.0]], [2.0, -1.0])
         with pytest.raises(NotRecurrent):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from mmfq import (build_UK, solve_psi, solve_psi_at, validate_model,
-                  validate_perturbation)
+from mmfq import (build_UK, solve_psi, solve_psi_at, stationary_phase_dist,
+                  validate_model, validate_perturbation)
 from mmfq.errors import EmptySide, InvalidEpsilon, NoConvergence
 from mmfq.numerics import stable_spectrum
 
-from conftest import random_generator, random_recurrent_model
+from conftest import oracle_psi, random_generator, random_recurrent_model
 
 
 class TestTwoPhaseClosedForm:
@@ -39,6 +39,29 @@ class TestTwoPhaseClosedForm:
         model = validate_model([[-a, a], [b, -b]], [cp, cm])
         sol = solve_psi(model)
         assert abs(sol.psi[0, 0] - a * abs(cm) / (b * cp)) < 1e-12
+
+
+class TestNearZeroDrift:
+    @pytest.mark.parametrize("drift", [1e-6, 1e-9])
+    def test_dense_transient_model(self, drift):
+        # the minimal root is substochastic and K, not U, has the eigenvalue
+        # near zero; the residual hides the lost digits, the oracle does not
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(30)
+        A = random_generator(30, rng)
+        signs = np.repeat([1, 0, -1], [13, 4, 13])  # already canonical order
+        c = signs * rng.uniform(0.5, 2.0, 30)
+        xi = stationary_phase_dist(validate_model(A, c))
+        up, down = xi[signs > 0] @ c[signs > 0], -xi[signs < 0] @ c[signs < 0]
+        c = np.where(signs < 0, c * (up - drift) / down, c)
+        sol = solve_psi(validate_model(A, c))
+        assert sol.psi.sum(axis=1).max() < 1.0
+        assert float(np.abs(sol.psi - oracle_psi(A, c)).max()) <= 1e-13
+
+    def test_null_recurrent(self):
+        # zero drift: psi = 1 is a double root and both U and K are singular
+        sol = solve_psi(validate_model([[-1.0, 1.0], [1.0, -1.0]], [1.0, -1.0]))
+        assert abs(sol.psi[0, 0] - 1.0) <= 1e-10
 
 
 class TestStructuralFacts:
