@@ -222,15 +222,13 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     ct_om_row = np.abs(spec.direction[io_m])[:, None]
     ct_om_col = np.abs(spec.direction[io_m])[None, :]
 
-    # 1. inner Riccati: Ct_op^{-1} A_op,om + Ct_op^{-1} A_op,op X
+    # 1. inner Riccati: Ct_op^{-1} (A_op,om + A_op,op X)
     #    + X |Ct_om^{-1}| A_om,om + X |Ct_om^{-1}| A_om,op X = 0
     try:
         psi_op_om, _, _, _ = newton_riccati(
-            model.block(io_p, io_m) / ct_op,
-            model.block(io_p, io_p) / ct_op,
+            model.block(io_p, io_m), model.block(io_p, io_p),
             model.block(io_m, io_m) / ct_om_row,
-            model.block(io_m, io_p) / ct_om_row,
-            row_scale=spec.direction[io_p])
+            model.block(io_m, io_p) / ct_om_row, spec.direction[io_p])
     except NoConvergence as exc:
         raise InnerRiccatiDiverged(str(exc)) from exc
 

@@ -7,9 +7,10 @@ is the minimal nonnegative solution of the quadratic matrix equation
 
 with Md = C+^{-1} Q_{+-}, Ma = C+^{-1} Q_{++}, Mu = |C-^{-1}| Q_{--},
 Mb = |C-^{-1}| Q_{-+} built from the censored generator blocks.  Newton
-steps from X0 = 0 are monotone for this equation class; each step solves
-one Sylvester equation with the current one-sided coefficients.  A tight
-solve ends with one double-precision shifted step (:func:`_defect_correct`).
+steps from X0 = 0 are monotone for this equation class (Guo & Laub 2000),
+so every step is a full one, a Sylvester equation with the current
+one-sided coefficients.  A tight solve ends with one double-precision
+shifted step (:func:`_defect_correct`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .numerics import solve_linear, stable_spectrum, sylvester_solver  # noqa: F
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_NEWTON = 50
-MAX_HALVINGS = 20
 # residual floor relative to the coefficient scale; below this the iteration
 # has hit double-precision rounding and is accepted as converged
 FLOOR_FACTOR = 256.0
@@ -42,6 +42,7 @@ class PsiSolution:
     ``psi`` is |S+| x |S-|; ``U`` generates the phase process at new level
     minima (rows conserve for recurrent models); ``K`` is the exponent
     matrix of the stationary density and has a strictly stable spectrum.
+    ``residual`` is ||F||_inf of the unscaled equation (see :func:`solve_psi`).
     """
 
     psi: np.ndarray
@@ -53,58 +54,49 @@ class PsiSolution:
     in_unit_box: bool
 
 
-def newton_riccati(Md, Ma, Mu, Mb, tol: float = DEFAULT_TOL,
-                   max_newton: int = DEFAULT_MAX_NEWTON, *, row_scale: np.ndarray):
-    """Minimal nonnegative root of Md + Ma X + X Mu + X Mb X = 0.
+def _residual(Qd, Qa, Mu, Mb, c, Y):
+    """C F(Y) = Qd + Qa Y + C Y (Mu + Mb Y), ``c`` a column, from the blocks
+    themselves: C (C^{-1} Q) would round away digits where a rate is tiny."""
+    return Qd + Qa @ Y + c * (Y @ (Mu + Mb @ Y))
 
-    Damped Newton from X0 = 0: at iterate X solve
-    (Ma + X Mb) D + D (Mu + Mb X) = -F(X) and halve the step while the
-    residual does not decrease.  Returns (X, iterations, residual history,
-    iterates stayed in [0, 1]).
 
-    ``row_scale`` (positive, per row) rescales the residual: when the
-    first two coefficients carry a large factor 1/row_scale (tiny up
-    rates), evaluating row_scale * F keeps every term O(1) so the solution
-    is resolved to full double precision.  The reported residuals are
-    always those of the unscaled equation.  An empty side (p or q zero)
-    returns the empty root without a step.
+def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
+                   max_newton: int = DEFAULT_MAX_NEWTON):
+    """Minimal nonnegative root of C^{-1}(Qd + Qa X) + X Mu + X Mb X = 0.
+
+    Newton from X0 = 0 with C = diag(c), c > 0: at iterate X solve
+    (C^{-1} Qa + X Mb) D + D (Mu + Mb X) = -F(X) and take the full step.
+    Returns (X, iterations, history of ||F||_inf, iterates stayed in [0, 1]).
+    Stops when ||F||_inf meets ``tol``, when ||C F||_inf stops decreasing
+    at the double-precision floor, or after ``max_newton`` steps; raises
+    ``NoConvergence`` unless ||F||_inf meets ``tol`` or ||C F||_inf is at
+    that floor, so with tiny rates an accepted ||F||_inf can exceed ``tol``.
+    An empty side (p or q zero) returns the empty root without a step.
     """
-    p, q = Md.shape
+    p, q = Qd.shape
     X = np.zeros((p, q))
     if p == 0 or q == 0:
         return X, 0, (0.0,), True
-    rs = np.asarray(row_scale, dtype=float)[:, None]
-    Sd, Sa = rs * Md, rs * Ma
-    scale = max(float(np.abs(m).max()) for m in (Sd, Sa, Mu, Mb))
+    c = np.asarray(c, dtype=float)[:, None]
+    Ma = Qa / c
+    scale = max(float(np.abs(m).max()) for m in (Qd, Qa, Mu, Mb))
     # scaled residuals below this are double-precision evaluation noise
     floor = FLOOR_FACTOR * np.finfo(float).eps * max(scale, 1.0) * max(p, q)
-
-    def scaled_residual(Y):
-        return Sd + Sa @ Y + rs * (Y @ Mu) + rs * (Y @ Mb @ Y)
-
-    H = scaled_residual(X)
+    H = _residual(Qd, Qa, Mu, Mb, c, X)
     hres = np.linalg.norm(H, np.inf)
-    res = np.linalg.norm(H / rs, np.inf)
+    res = np.linalg.norm(H / c, np.inf)
     history = [res]
     in_box = True
     iterations = 0
     while res > tol and iterations < max_newton:
-        # Frechet derivative of the unscaled equation; H is the scaled residual
-        step = sylvester_solver(Ma + X @ Mb, Mu + Mb @ X)(-H / rs)
-        new_X = X + step
-        new_H = scaled_residual(new_X)
+        new_X = X + sylvester_solver(Ma + X @ Mb, Mu + Mb @ X)(-H / c)
+        new_H = _residual(Qd, Qa, Mu, Mb, c, new_X)
         new_hres = np.linalg.norm(new_H, np.inf)
-        halvings = 0
-        while new_hres > hres and halvings < MAX_HALVINGS:
-            step *= 0.5
-            new_X = X + step
-            new_H = scaled_residual(new_X)
-            new_hres = np.linalg.norm(new_H, np.inf)
-            halvings += 1
-        if new_hres >= hres:
+        # above the floor a full step may raise ||C F|| while X still rises
+        if new_hres >= hres and hres <= floor:
             break  # stagnated at the arithmetic floor
         X, H, hres = new_X, new_H, new_hres
-        res = np.linalg.norm(H / rs, np.inf)
+        res = np.linalg.norm(H / c, np.inf)
         history.append(res)
         iterations += 1
         if X.min() < -1e-12 or X.max() > 1.0 + 1e-12:
@@ -133,35 +125,28 @@ def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb):
     xi = stationary_phase_dist(model)
     z_p, z_m = xi[model.ip] * model.c_plus, xi[model.im] * model.c_minus_abs
 
-    def residual(Y):
-        return blocks.Q_pm + blocks.Q_pp @ Y + cp * (Y @ (Mu + Mb @ Y))
-
+    eq = (blocks.Q_pm, blocks.Q_pp, Mu, Mb, cp)
     if z_p.sum() < z_m.sum():
         shift = np.abs(np.diag(Mu)).max() / X.shape[1]
         U = Mu - shift + Mb @ X
-        H = residual(X) + cp * (shift * (1.0 - X.sum(axis=1)))[:, None]
+        H = _residual(*eq, X) + cp * (shift * (1.0 - X.sum(axis=1)))[:, None]
     else:
         shift = np.abs(np.diag(Ma)).max() / z_p.sum()
         Ma = Ma - shift * z_p
         U = Mu + Mb @ X
-        H = residual(X) - cp * (shift * (z_p @ X - z_m))
+        H = _residual(*eq, X) - cp * (shift * (z_p @ X - z_m))
     X = X + sylvester_solver(Ma + X @ Mb, U)(-H / cp)
-    return X, float(np.linalg.norm(residual(X) / cp, np.inf))
+    return X, float(np.linalg.norm(_residual(*eq, X) / cp, np.inf))
 
 
 def _coefficients(model: FluidModel, blocks):
-    cp = model.c_plus[:, None]
     cm = model.c_minus_abs[:, None]
-    Md = blocks.Q_pm / cp
-    Ma = blocks.Q_pp / cp
-    Mu = blocks.Q_mm / cm
-    Mb = blocks.Q_mp / cm
-    return Md, Ma, Mu, Mb
+    return blocks.Q_pp / model.c_plus[:, None], blocks.Q_mm / cm, blocks.Q_mp / cm
 
 
 def build_UK(model: FluidModel, psi: np.ndarray):
     """Downward-record generator U and density exponent K for a given psi."""
-    Md, Ma, Mu, Mb = _coefficients(model, censor_zero_phases(model))
+    Ma, Mu, Mb = _coefficients(model, censor_zero_phases(model))
     U = Mu + Mb @ psi
     K = Ma + psi @ Mb
     return U, K
@@ -173,13 +158,16 @@ def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
 
     Requires nonempty up- and down-phase sets.  For positive recurrent
     models the rows of ``psi`` sum to one and ``U`` has zero row sums.
+    ``residual`` is ||F||_inf of the unscaled equation.  A solve is accepted
+    when it meets ``tol`` or when ||C+ F||_inf is at the round-off floor, so
+    with tiny up rates it can exceed ``tol`` (case 3a at eps = 1e-4: 4e-11).
     """
     if model.n_plus == 0 or model.n_minus == 0:
         raise EmptySide("model needs at least one positive and one negative rate")
     blocks = censor_zero_phases(model)
-    Md, Ma, Mu, Mb = _coefficients(model, blocks)
+    Ma, Mu, Mb = _coefficients(model, blocks)
     X, iterations, history, in_box = newton_riccati(
-        Md, Ma, Mu, Mb, tol, max_newton, row_scale=model.c_plus)
+        blocks.Q_pm, blocks.Q_pp, Mu, Mb, model.c_plus, tol, max_newton)
     if tol <= REFINE_THRESHOLD:
         X, res = _defect_correct(model, blocks, X, Ma, Mu, Mb)
         history = history[:-1] + (res,)

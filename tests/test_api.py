@@ -1,5 +1,9 @@
 """The public-name contract: ``mmfq.__all__`` lists exactly these names and
-every one of them resolves."""
+every one of them resolves; so does every library attribute that the
+benchmark's tracer wraps."""
+
+import importlib.util
+from pathlib import Path
 
 import mmfq
 
@@ -27,3 +31,15 @@ def test_every_public_name_resolves():
     exec("from mmfq import *", namespace)
     for name in mmfq.__all__:
         assert getattr(mmfq, name) is namespace[name]
+
+
+def test_traced_attributes_resolve():
+    # perfbench/tracing.py wraps these by (module, attribute); renaming or
+    # deleting one would otherwise fail only the benchmark's self-test
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_mmfq_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAP_POINTS
+    for module, attr, _, _ in tracing.WRAP_POINTS:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)

@@ -3,8 +3,10 @@ import pytest
 
 from mmfq import (build_UK, solve_psi, solve_psi_at, stationary_phase_dist,
                   validate_model, validate_perturbation)
+from mmfq.bench import case_model
 from mmfq.errors import EmptySide, InvalidEpsilon, NoConvergence
 from mmfq.numerics import stable_spectrum
+from mmfq.riccati import newton_riccati
 
 from conftest import oracle_psi, random_generator, random_recurrent_model
 
@@ -135,6 +137,43 @@ class TestNewtonBehaviour:
         model = validate_model([[-1.0, 1.0], [1.0, -1.0]], [1.0, 2.0])
         with pytest.raises(EmptySide):
             solve_psi(model)
+
+
+class TestNewtonRiccati:
+    @pytest.mark.parametrize("a,root", [(3e-7, 0.3), (1e-7, 0.1)])
+    def test_scalar_root_with_tiny_rate(self, a, root):
+        # up rate c = 1e-6, down rate -1, A = [[-a, a], [1, -1]]:
+        # (a - a x)/c - x + x^2 = 0 has roots 1 and a/c
+        c = 1e-6
+        X, iterations, history, in_box = newton_riccati(
+            np.array([[a]]), np.array([[-a]]), np.array([[-1.0]]),
+            np.array([[1.0]]), [c])
+        assert abs(X[0, 0] - root) <= 1e-15
+        assert history[-1] <= 1e-12 and iterations == len(history) - 1
+        assert in_box
+
+    def test_empty_side(self):
+        # the migration elimination relies on the (p, 0) root without a step
+        X, iterations, history, in_box = newton_riccati(
+            np.zeros((3, 0)), -np.eye(3), np.zeros((0, 0)), np.zeros((0, 3)),
+            np.ones(3))
+        assert X.shape == (3, 0) and iterations == 0
+        assert history == (0.0,) and in_box
+
+    def test_no_convergence_without_steps(self):
+        with pytest.raises(NoConvergence):
+            newton_riccati(np.array([[3e-7]]), np.array([[-3e-7]]),
+                           np.array([[-1.0]]), np.array([[1.0]]), [1e-6],
+                           max_newton=0)
+
+    def test_residual_above_tol_on_floor(self):
+        # migrated up rates of 4e-5: ||C+ F|| reaches the round-off floor
+        # while ||F|| stays above tol; the solve is accepted and accurate
+        pytest.importorskip("mpmath")
+        model, spec = case_model("3a")
+        sol, _ = solve_psi_at(model, spec, 1e-4)
+        truth = oracle_psi(model.A, model.c + 1e-4 * spec.direction)
+        assert float(np.abs(sol.psi - truth).max()) <= 1e-13
 
 
 class TestSolvePsiAt:
