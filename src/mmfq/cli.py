@@ -118,7 +118,7 @@ def cmd_psi(args) -> int:
     up = [labels[i] for i in model.ip]
     down = [labels[i] for i in model.im]
     manifest = RunManifest(
-        command=sys.argv[1:], inputs=[args.model],
+        command=args.argv, inputs=[args.model],
         options={"tol": args.tol, "max_newton": args.max_newton},
         wall_time_s=time.perf_counter() - t0,
         diagnostics={"iterations": sol.iterations, "residual": sol.residual,
@@ -159,7 +159,7 @@ def cmd_perturb(args) -> int:
     if checks:
         payload["eps_check"] = checks
     manifest = RunManifest(
-        command=sys.argv[1:], inputs=[args.model, args.pert],
+        command=args.argv, inputs=[args.model, args.pert],
         options={"tol": args.tol, "eps_check": args.eps_check or []},
         wall_time_s=time.perf_counter() - t0,
         diagnostics={"iterations": sol.iterations, "residual": sol.residual})
@@ -191,7 +191,7 @@ def cmd_density(args) -> int:
         lines.append(",".join(row))
     body = "\n".join(lines) + "\n"
     manifest = RunManifest(
-        command=sys.argv[1:], inputs=[p for p in (args.model, args.pert) if p],
+        command=args.argv, inputs=[p for p in (args.model, args.pert) if p],
         options={"x": args.x, "tol": args.tol},
         wall_time_s=time.perf_counter() - t0,
         diagnostics={"zero_mass": density.zero_mass(law, model).tolist(),
@@ -239,7 +239,7 @@ def cmd_case(args) -> int:
                            f"{'PASS' if ok else 'FAIL'} (2% relative)")
     print("\n".join(summary))
     manifest = RunManifest(
-        command=sys.argv[1:], inputs=[],
+        command=args.argv, inputs=[],
         options={"id": args.id, "eps_grid": args.eps_grid},
         wall_time_s=time.perf_counter() - t0,
         diagnostics={"slope": result.slope, "r_squared": result.r_squared,
@@ -266,7 +266,7 @@ def cmd_simulate(args) -> int:
             lines.append(f"{r},{c},{_f17(est.estimate[i, j])},{_f17(est.stderr[i, j])}")
     body = "\n".join(lines) + "\n"
     manifest = RunManifest(
-        command=sys.argv[1:], inputs=[args.model],
+        command=args.argv, inputs=[args.model],
         options={"replications": args.replications, "seed": args.seed,
                  "max_time": args.max_time},
         wall_time_s=time.perf_counter() - t0,
@@ -326,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except UnknownCase as exc:

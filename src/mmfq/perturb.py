@@ -1,17 +1,16 @@
 """First-order expansions of the first-return matrix.
 
-Three expansion routes are implemented:
+Two expansion routes are implemented:
 
 * generator direction ``A + eps*At`` (:func:`psi1_generator`),
-* rate direction with unaffected zero-rate phases (:func:`psi1_rate_unaffected`),
-* rate direction under which the zero-rate phases migrate, split by sign
-  into a migrating-up and a migrating-down class (:func:`expand_general`).
+* rate direction, by the migration elimination (:func:`expand_general`):
+  the zero-rate phases split by sign into a migrating-up and a
+  migrating-down class.  The other regimes run it with classes empty:
+  :func:`expand_to_plus` (every zero-rate phase migrates up),
+  :func:`expand_to_minus` (every one migrates down) and
+  :func:`psi1_rate_unaffected` (none migrates; they are censored out).
 
-Two regime wrappers run the migration elimination with one class empty:
-:func:`expand_to_plus` (every zero-rate phase migrates up) and
-:func:`expand_to_minus` (every one migrates down).
-
-For the migration regimes the perturbed first-return matrix has rows
+For the rate regimes the perturbed first-return matrix has rows
 (up phases, migrated-up phases) and columns (migrated-down phases, down
 phases); the zeroth-order matrix in that layout is the comparison object
 for the perturbed solve, and the first-order matrix is exact up to
@@ -24,11 +23,12 @@ migrating-down and down phase classes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import FluidModel, PerturbationSpec, validate_perturbation
+from .core import (FluidModel, PerturbationSpec, censor_zero_phases,
+                   validate_perturbation)
 from .errors import (InnerRiccatiDiverged, InvalidPerturbation, NoConvergence,
                      WrongRegime)
 from .numerics import solve_linear, solve_sylvester
@@ -119,20 +119,13 @@ def psi1_generator(model: FluidModel, psi_sol: PsiSolution,
 
 def psi1_rate_unaffected(model: FluidModel, psi_sol: PsiSolution,
                          c_tilde: np.ndarray) -> np.ndarray:
-    """Derivative of psi for a rate direction vanishing on zero-rate phases.
-
-    Solves K X + X U = -psi |C-^{-1}| Ct_- U - C+^{-1} Ct_+ psi U.
-    """
+    """Derivative of psi for a rate direction vanishing on zero-rate phases
+    (canonical order): the migration elimination with both classes empty."""
     ct = np.asarray(c_tilde, dtype=float)
     if np.any(ct[model.i0] != 0.0):
         raise WrongRegime("rate direction touches zero-rate phases")
-    psi, U = psi_sol.psi, psi_sol.U
-    ct_p = ct[model.ip]
-    ct_m = ct[model.im]
-    psi_cm = psi / model.c_minus_abs[None, :]
-    rhs = -(psi_cm * ct_m[None, :]) @ U \
-        - ((ct_p / model.c_plus)[:, None] * psi) @ U
-    return solve_sylvester(psi_sol.K, psi_sol.U, rhs)
+    return _eliminate(model, psi_sol,
+                      PerturbationSpec("rate", ct, "unaffected")).psi1
 
 
 def _k_m1(model, spec, psi_op_om):
@@ -193,12 +186,13 @@ def series_blocks(model: FluidModel, spec: PerturbationSpec,
 
 def _eliminate(model: FluidModel, psi_sol: PsiSolution,
                spec: PerturbationSpec) -> PsiExpansion:
-    """Expansion of a rate perturbation under which zero-rate phases migrate.
+    """Expansion of a rate perturbation, any regime.
 
-    An empty migrating class (om for ``to_plus``, op for ``to_minus``)
-    enters every step as a zero-size block.  The elimination order, each
-    step obtained by collecting powers of eps in the four block components
-    of the perturbed Riccati equation:
+    An empty migrating class (om for ``to_plus``, op for ``to_minus``, both
+    for ``unaffected``) enters every step as a zero-size block.  Zero-rate
+    phases that keep rate zero enter no block, so they are censored out
+    first.  The elimination order, each step obtained by collecting powers
+    of eps in the four block components of the perturbed Riccati equation:
 
     1. eps^{-1} of the (op, om) block: inner Riccati equation for psi_op_om
        with the perturbation rates as fluid rates.
@@ -210,6 +204,12 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
        psi1_p_m; substituting the first two into the third leaves one
        Sylvester equation for psi1_p_m, then back-substitution.
     """
+    if spec.regime == "unaffected":
+        keep = np.concatenate([model.ip, model.im])
+        b = censor_zero_phases(model)
+        model = replace(model, A=np.block([[b.Q_pp, b.Q_pm], [b.Q_mp, b.Q_mm]]),
+                        c=model.c[keep], perm=model.perm[keep], n_zero=0)
+        spec = replace(spec, direction=spec.direction[keep])
     ip, im = model.ip, model.im
     io_p, io_m = spec.oplus, spec.ominus
     psi = psi_sol.psi
@@ -225,7 +225,7 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     # 1. inner Riccati: Ct_op^{-1} (A_op,om + A_op,op X)
     #    + X |Ct_om^{-1}| A_om,om + X |Ct_om^{-1}| A_om,op X = 0
     try:
-        psi_op_om, _, _, _ = newton_riccati(
+        psi_op_om, _, _ = newton_riccati(
             model.block(io_p, io_m), model.block(io_p, io_p),
             model.block(io_m, io_m) / ct_om_row,
             model.block(io_m, io_p) / ct_om_row, spec.direction[io_p])
@@ -348,13 +348,12 @@ def expand_general(model: FluidModel, psi_sol: PsiSolution,
 
 def expand(model: FluidModel, psi_sol: PsiSolution,
            spec: PerturbationSpec) -> PsiExpansion:
-    """Dispatch to the expansion route matching the perturbation regime."""
-    if spec.kind == "rate" and spec.regime != "unaffected":
+    """Dispatch to the expansion route matching the perturbation kind."""
+    if spec.kind == "rate":
         return _eliminate(model, psi_sol, spec)
-    route = psi1_generator if spec.kind == "generator" else psi1_rate_unaffected
     return PsiExpansion(
         regime=spec.regime, psi_bar=psi_sol.psi.copy(),
-        psi1=route(model, psi_sol, spec.direction),
+        psi1=psi1_generator(model, psi_sol, spec.direction),
         row_phases=model.perm[model.ip], col_phases=model.perm[model.im],
         n_up_rows=model.n_plus, n_migrating_cols=0)
 

@@ -43,6 +43,7 @@ class PsiSolution:
     minima (rows conserve for recurrent models); ``K`` is the exponent
     matrix of the stationary density and has a strictly stable spectrum.
     ``residual`` is ||F||_inf of the unscaled equation (see :func:`solve_psi`).
+    ``in_unit_box`` says whether ``psi`` lies in [0, 1] to within 1e-12.
     """
 
     psi: np.ndarray
@@ -66,7 +67,8 @@ def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
 
     Newton from X0 = 0 with C = diag(c), c > 0: at iterate X solve
     (C^{-1} Qa + X Mb) D + D (Mu + Mb X) = -F(X) and take the full step.
-    Returns (X, iterations, history of ||F||_inf, iterates stayed in [0, 1]).
+    Returns (X, iterations, history of ||F||_inf).  Exact iterates rise from
+    0 to the root; round-off can push one out of [0, 1], so judge the root.
     Stops when ||F||_inf meets ``tol``, when ||C F||_inf stops decreasing
     at the double-precision floor, or after ``max_newton`` steps; raises
     ``NoConvergence`` unless ||F||_inf meets ``tol`` or ||C F||_inf is at
@@ -76,7 +78,7 @@ def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
     p, q = Qd.shape
     X = np.zeros((p, q))
     if p == 0 or q == 0:
-        return X, 0, (0.0,), True
+        return X, 0, (0.0,)
     c = np.asarray(c, dtype=float)[:, None]
     Ma = Qa / c
     scale = max(float(np.abs(m).max()) for m in (Qd, Qa, Mu, Mb))
@@ -86,7 +88,6 @@ def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
     hres = np.linalg.norm(H, np.inf)
     res = np.linalg.norm(H / c, np.inf)
     history = [res]
-    in_box = True
     iterations = 0
     while res > tol and iterations < max_newton:
         new_X = X + sylvester_solver(Ma + X @ Mb, Mu + Mb @ X)(-H / c)
@@ -99,12 +100,10 @@ def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
         res = np.linalg.norm(H / c, np.inf)
         history.append(res)
         iterations += 1
-        if X.min() < -1e-12 or X.max() > 1.0 + 1e-12:
-            in_box = False
     if res > tol and hres > floor:
         raise NoConvergence(
             f"residual {res:.3e} after {iterations} Newton steps (tol {tol:.0e})")
-    return X, iterations, tuple(history), in_box
+    return X, iterations, tuple(history)
 
 
 def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb):
@@ -166,7 +165,7 @@ def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
         raise EmptySide("model needs at least one positive and one negative rate")
     blocks = censor_zero_phases(model)
     Ma, Mu, Mb = _coefficients(model, blocks)
-    X, iterations, history, in_box = newton_riccati(
+    X, iterations, history = newton_riccati(
         blocks.Q_pm, blocks.Q_pp, Mu, Mb, model.c_plus, tol, max_newton)
     if tol <= REFINE_THRESHOLD:
         X, res = _defect_correct(model, blocks, X, Ma, Mu, Mb)
@@ -175,7 +174,7 @@ def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
     K = Ma + X @ Mb
     return PsiSolution(psi=X, U=U, K=K, iterations=iterations,
                        residual=history[-1], residual_history=history,
-                       in_unit_box=in_box)
+                       in_unit_box=bool(X.min() >= -1e-12 and X.max() <= 1.0 + 1e-12))
 
 
 def perturbed_model(model: FluidModel, spec: PerturbationSpec,

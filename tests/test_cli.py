@@ -105,6 +105,14 @@ class TestPsi:
         assert doc["psi"] == [[1.0]]
         assert doc["manifest"]["version"]
 
+    def test_manifest_records_parsed_argv(self, model_file, tmp_path,
+                                          monkeypatch):
+        monkeypatch.setattr("sys.argv", ["host", "--unrelated"])
+        out = str(tmp_path / "psi.csv")
+        assert main(["psi", model_file, "--out", out]) == 0
+        manifest = json.loads((tmp_path / "psi.csv.manifest.json").read_text())
+        assert manifest["command"] == ["psi", model_file, "--out", out]
+
 
 class TestPerturb:
     def test_zero_generator_direction(self, model_file, tmp_path, capsys):
@@ -130,7 +138,10 @@ class TestPerturb:
         check = doc["eps_check"][f"{1e-4:.17g}"]
         assert abs(check["e_plus"] - 5.37e-7) <= 0.02 * 5.37e-7
 
-    def test_general_regime_lists_blocks(self, tmp_path, capsys):
+    @staticmethod
+    def perturb_zero_phases(tmp_path, capsys, on_zero, on_other=0.0):
+        """Run ``perturb`` on a 9-phase model with three zero-rate phases;
+        the rate direction is ``on_zero`` there, ``on_other`` elsewhere."""
         from conftest import random_recurrent_model
         from mmfq.core import model_to_dict
         rng = np.random.default_rng(70)
@@ -138,15 +149,24 @@ class TestPerturb:
             9, rng, signs=[1, 1, 1, 0, 0, 0, -1, -1, -1])
         mp = tmp_path / "m.json"
         mp.write_text(json.dumps(model_to_dict(model)))
-        ct = np.zeros(9)
-        ct[model.perm[model.i0]] = [0.5, 0.8, -0.6]
+        ct = np.full(9, on_other)
+        ct[model.perm[model.i0]] = on_zero
         pp = tmp_path / "p.json"
         pp.write_text(json.dumps({"kind": "rate", "direction": list(ct)}))
         assert main(["perturb", str(mp), str(pp)]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        return json.loads(capsys.readouterr().out)
+
+    def test_general_regime_lists_blocks(self, tmp_path, capsys):
+        doc = self.perturb_zero_phases(tmp_path, capsys, [0.5, 0.8, -0.6])
         assert doc["regime"] == "general"
         assert "psi_op_om" in doc["aux_blocks"]
         assert "k_hat" in doc["aux_blocks"]
+
+    def test_unaffected_regime_lists_the_same_blocks(self, tmp_path, capsys):
+        general = self.perturb_zero_phases(tmp_path, capsys, [0.5, 0.8, -0.6])
+        doc = self.perturb_zero_phases(tmp_path, capsys, 0.0, on_other=0.1)
+        assert doc["regime"] == "unaffected"
+        assert doc["aux_blocks"] == general["aux_blocks"]
 
 
 class TestDensity:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mmfq import (censor_zero_phases, expand, expand_general, expand_to_minus,
                   expand_to_plus, psi1_generator, psi1_rate_unaffected,
@@ -104,6 +105,22 @@ class TestRateUnaffected:
         sol = solve_psi(model)
         expansion = expand(model, sol, spec)
         fd_ratio_check(model, spec, expansion)
+
+    def test_matches_closed_form(self):
+        # with no zero-rate phase migrating, psi1 solves
+        # K X + X U = -psi |C-^{-1}| Ct_- U - C+^{-1} Ct_+ psi U
+        rng = np.random.default_rng(37)
+        model = rate_model_with_zeros(rng)
+        ct = rng.uniform(-1.0, 1.0, model.n)
+        ct[model.perm[model.i0]] = 0.0
+        spec = validate_perturbation(model, "rate", ct)
+        sol = solve_psi(model)
+        ct_p, ct_m = spec.direction[model.ip], spec.direction[model.im]
+        rhs = -(sol.psi * (ct_m / model.c_minus_abs)[None, :]) @ sol.U \
+            - ((ct_p / model.c_plus)[:, None] * sol.psi) @ sol.U
+        closed = scipy.linalg.solve_sylvester(sol.K, sol.U, rhs)
+        psi1 = expand(model, sol, spec).psi1
+        assert np.abs(psi1 - closed).max() <= 1e-13 * np.abs(closed).max()
 
 
 class TestToPlus:
@@ -238,12 +255,17 @@ class TestDispatch:
         directions["to_plus"][1][orig_zero] = 0.5
         directions["to_minus"][1][orig_zero] = -0.5
         directions["general"][1][orig_zero] = [0.5, -0.5, 0.5]
+        aux_keys = set()
         for regime, (kind, direction) in directions.items():
             spec = validate_perturbation(model, kind, direction)
             out = expand(model, sol, spec)
             assert out.regime == regime
             assert out.psi_bar.shape == out.psi1.shape
             assert out.psi_bar.shape == (len(out.row_phases), len(out.col_phases))
+            if kind == "rate":
+                aux_keys.add(frozenset(out.aux))
+        # every rate regime runs the one migration elimination
+        assert len(aux_keys) == 1 and "k_hat" in next(iter(aux_keys))
 
 
 class TestBDIdentities:

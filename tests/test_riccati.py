@@ -93,6 +93,17 @@ class TestStructuralFacts:
             assert sol.residual <= 1e-12
             assert sol.in_unit_box
 
+    def test_unit_box_judged_on_the_root(self):
+        # the last Newton iterate is at 1 + 3.3e-12 from round-off of the
+        # censored blocks; the returned psi is 1 exactly
+        A = [[-6.5491557230829756, 1.452964073649082e-06, 6.549154270118902],
+             [3.466743418800332e-06, -4.685389192203996e-05, 4.338714850323963e-05],
+             [0.8497726461711604, 5.252883113554251e-05, -0.8498251750022959]]
+        c = [1.7095611084850679e-06, 0.0003580238083850341, -0.0007245773355070528]
+        sol = solve_psi(validate_model(A, c))
+        assert np.array_equal(sol.psi, np.ones((2, 1)))
+        assert sol.in_unit_box
+
     def test_dense_n200(self):
         # pq = 98^2 = 9604: each Newton step is a Sylvester problem whose
         # Kronecker form would have order 9604
@@ -145,20 +156,19 @@ class TestNewtonRiccati:
         # up rate c = 1e-6, down rate -1, A = [[-a, a], [1, -1]]:
         # (a - a x)/c - x + x^2 = 0 has roots 1 and a/c
         c = 1e-6
-        X, iterations, history, in_box = newton_riccati(
+        X, iterations, history = newton_riccati(
             np.array([[a]]), np.array([[-a]]), np.array([[-1.0]]),
             np.array([[1.0]]), [c])
         assert abs(X[0, 0] - root) <= 1e-15
         assert history[-1] <= 1e-12 and iterations == len(history) - 1
-        assert in_box
 
     def test_empty_side(self):
         # the migration elimination relies on the (p, 0) root without a step
-        X, iterations, history, in_box = newton_riccati(
+        X, iterations, history = newton_riccati(
             np.zeros((3, 0)), -np.eye(3), np.zeros((0, 0)), np.zeros((0, 3)),
             np.ones(3))
         assert X.shape == (3, 0) and iterations == 0
-        assert history == (0.0,) and in_box
+        assert history == (0.0,)
 
     def test_no_convergence_without_steps(self):
         with pytest.raises(NoConvergence):
