@@ -65,6 +65,20 @@ class TestEstimatePsi:
         ratio = small.stderr.max() / large.stderr.max()
         assert 5.0 <= ratio <= 20.0  # expect about sqrt(100) = 10
 
+    def test_z_scores_over_seeds(self, three_phase):
+        # if groups of paths shared or correlated random streams, the
+        # z-scores of 20 seeds would spread far wider than a standard
+        # normal sample: 20 groups drawing the same numbers give a
+        # variance near 20
+        reps = 20000
+        psi = solve_psi(three_phase).psi[0, 0]
+        se = np.sqrt(psi * (1.0 - psi) / reps)
+        z = np.array([(estimate_psi(three_phase, SimConfig(replications=reps, seed=s))
+                       .estimate[0, 0] - psi) / se for s in range(20)])
+        assert abs(z.mean()) <= 0.9  # 4 standard errors of the mean
+        # 0.1% and 99.9% points of chi-square(19) / 19
+        assert 0.32 <= z.var(ddof=1) <= 2.3
+
 
 class TestEstimateDensity:
     def test_two_phase_decay_and_atom(self, two_phase):
