@@ -6,12 +6,15 @@ first passage below zero; the hitting phase is tallied.  The reflected
 process clamps the level at zero instead and accumulates occupation time
 into level bins for a density histogram.
 
-Path k (``row * replications + r`` in ``estimate_psi``, the replication
-in ``estimate_density``) draws from the Philox stream keyed by
-(seed mod 2**64, k) in chunks of 64 exponentials, then 64 uniforms; its
-i-th step uses the i-th of each.  Paths run in numpy with the float
+In ``estimate_psi`` path k = ``row * replications + r`` belongs to block
+b = k // 1024, whose paths share the Philox stream keyed by
+(seed mod 2**64, b): each chunk draws 64 exponentials, then 64 uniforms,
+for every path of the block still running, in path order.  Replication r
+of ``estimate_density`` draws from the stream keyed by (seed mod 2**64, r)
+in chunks of 64 exponentials, then 64 uniforms.  A path's i-th step in a
+chunk uses the i-th of each.  Paths run in numpy with the float
 operations of a step-by-step walk, so estimates are reproducible bit for
-bit and independent of execution order.
+bit from (seed, replications).
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .errors import EmptySide, NotRecurrent
 from . import core
 
 # work-array sizes: memory stays flat in the number of replications
-_CHUNK = 64          # draws of each kind per refill of a stream
-_PATHS = 256         # path slots that estimate_psi advances together
+_CHUNK = 64          # draws of each kind per path and chunk
+_BLOCK = 1024        # consecutive paths of estimate_psi that share a stream
 _WINDOW = 8          # chunks that estimate_density draws at a time
 _LOOKUP = 1 << 15    # (step, phase, jump) comparisons made at once
 _CELLS = 1 << 12     # (step, bin) histogram cells expanded at once
@@ -42,8 +45,8 @@ class SimConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.max_time <= 0:
-            raise ValueError("max_time must be positive")
+        if not 0.0 < self.max_time < np.inf:
+            raise ValueError("max_time must be positive and finite")
         if not 0.0 <= self.burn_in < self.max_time:
             raise ValueError("burn_in must lie in [0, max_time)")
 
@@ -102,24 +105,10 @@ def _next_phase(cum, target, ph, u):
     return target[ph, below.argmin(axis=-1)]
 
 
-class _Streams:
-    """The Philox streams of one seed through one reused generator: assigning
-    the state of a fresh key costs a tenth of building a generator."""
-
-    def __init__(self, seed: int):
-        self.bits = np.random.Philox(key=np.array([seed % (1 << 64), 0], dtype=np.uint64))
-        self.gen = np.random.Generator(self.bits)
-        self._fresh = self.bits.state
-
-    def start(self, counter: int) -> None:
-        """Rewind to the beginning of stream ``counter``."""
-        self._fresh["state"]["key"][1] = counter
-        self.bits.state = self._fresh
-
-    def chunk(self, exps: np.ndarray, unis: np.ndarray) -> None:
-        """Draw the next chunk: exponentials first, then uniforms."""
-        self.gen.standard_exponential(out=exps)
-        self.gen.random(out=unis)
+def _stream(seed: int, key: int) -> np.random.Generator:
+    """The Philox stream keyed by (seed mod 2**64, key)."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed % (1 << 64), key], dtype=np.uint64)))
 
 
 def estimate_psi(model: FluidModel, cfg: SimConfig) -> PsiEstimate:
@@ -127,8 +116,9 @@ def estimate_psi(model: FluidModel, cfg: SimConfig) -> PsiEstimate:
 
     Runs ``cfg.replications`` paths per starting up phase; paths that have
     not crossed below zero by ``cfg.max_time`` count toward
-    ``censored_fraction``.  ``_PATHS`` slots advance one chunk of steps
-    per pass, and the slots of finished paths take the next paths.
+    ``censored_fraction``.  Each block of ``_BLOCK`` consecutive paths
+    advances one chunk of steps per pass, and a pass keeps only the paths
+    that are still running.
     """
     if model.n_plus == 0 or model.n_minus == 0:
         raise EmptySide("model needs at least one positive and one negative rate")
@@ -139,75 +129,53 @@ def estimate_psi(model: FluidModel, cfg: SimConfig) -> PsiEstimate:
     column[model.im] = np.arange(n_minus)
     counts = np.zeros(model.n_plus * n_minus, dtype=np.int64)
     total = model.n_plus * reps
-    size = min(_PATHS, total)
-    streams = _Streams(cfg.seed)
-    steps = np.empty((size, _CHUNK), dtype=np.intp)  # phase during each step
-    # per slot the time and the level at the start of the chunk; after them
-    # T holds the chunk's exponentials, then the time after each step, and Y
-    # the chunk's uniforms, then the level after each step
-    T = np.zeros((size, _CHUNK + 1))
-    Y = np.zeros_like(T)
-    exps, unis = T[:, 1:], Y[:, 1:]
-    path = np.zeros(size, dtype=np.intp)  # stream counter row * reps + r
-    ph = np.zeros(size, dtype=np.intp)
-    active = np.zeros(size, dtype=bool)
-    saved = {}  # slot -> stream state after the latest chunk of its path
-    censored = loaded = 0
-    while True:
-        new = np.flatnonzero(~active)[:total - loaded]
-        for s, counter in zip(new.tolist(), range(loaded, loaded + new.size)):
-            streams.start(counter)
-            streams.chunk(exps[s], unis[s])
-            saved.pop(s, None)
-        path[new] = np.arange(loaded, loaded + new.size)
-        ph[new] = model.ip[path[new] // reps]
-        Y[new, 0] = T[new, 0] = 0.0
-        active[new] = True
-        loaded += new.size
-        if not active.any():
-            break
-        # idle slots step along too; their results are never read
-        for i in range(_CHUNK):
-            steps[:, i] = ph
-            ph = _next_phase(cum, target, ph, unis[:, i])
-        # tau = e / rate and the level change c * tau, summed in step order
-        np.divide(exps, rates.take(steps, out=unis), out=exps)
-        np.multiply(c.take(steps, out=unis), exps, out=unis)
-        np.cumsum(Y, axis=1, out=Y)
-        np.cumsum(T, axis=1, out=T)
-        # a path ends at its first step that goes below zero or past max_time
-        end = (Y[:, 1:] < 0.0) | (T[:, 1:] > max_time)
-        ended = np.flatnonzero(end.any(axis=1) & active)
-        active[ended] = False
-        last = end[ended].argmax(axis=1)
-        down = Y[ended, last + 1] < 0.0
-        s, i = ended[down], last[down]
-        # a crossing counts unless it happens after max_time
-        hit = ~(T[s, i] + Y[s, i] / -c[steps[s, i]] > max_time)
-        s, i = s[hit], i[hit]
-        counts += np.bincount(path[s] // reps * n_minus + column[steps[s, i]],
-                              minlength=counts.size)
-        censored += ended.size - s.size
-        T[ended] = Y[ended] = 0.0  # an idle slot stays at rest
-        Y[:, 0] = Y[:, -1]
-        T[:, 0] = T[:, -1]
-        # continuing paths draw their next chunk: from the saved stream
-        # state, or by replaying the first chunk at the first refill
-        for s in np.flatnonzero(active).tolist():
-            if s in saved:
-                streams.bits.state = saved[s]
-            else:
-                streams.start(int(path[s]))
-                streams.chunk(exps[s], unis[s])
-            streams.chunk(exps[s], unis[s])
-            saved[s] = streams.bits.state
+    censored = 0
+    for block, first in enumerate(range(0, total, _BLOCK)):
+        gen = _stream(cfg.seed, block)
+        path = np.arange(first, min(first + _BLOCK, total))  # row * reps + r
+        ph = model.ip[path // reps]
+        t = y = np.zeros(path.size)  # time and level at the start of the chunk
+        while path.size:
+            # T holds the chunk's exponentials, then the time after each
+            # step, and Y the chunk's uniforms, then the level after each step
+            T = gen.standard_exponential((path.size, _CHUNK))
+            Y = gen.random((path.size, _CHUNK))
+            steps = np.empty(T.shape, dtype=np.intp)  # phase during each step
+            for i in range(_CHUNK):
+                steps[:, i] = ph
+                ph = _next_phase(cum, target, ph, Y[:, i])
+            # tau = e / rate and the level change c * tau, summed in step order
+            np.divide(T, rates.take(steps, out=Y), out=T)
+            np.multiply(c.take(steps, out=Y), T, out=Y)
+            T[:, 0] += t
+            Y[:, 0] += y
+            np.cumsum(T, axis=1, out=T)
+            np.cumsum(Y, axis=1, out=Y)
+            # a path ends at its first step that goes below zero or past max_time
+            end = (Y < 0.0) | (T > max_time)
+            over = end.any(axis=1)
+            ended = np.flatnonzero(over)
+            last = end[ended].argmax(axis=1)
+            down = Y[ended, last] < 0.0
+            s, i = ended[down], last[down]
+            # a crossing counts unless it happens after max_time; t0 and y0
+            # are the time and level at the start of the crossing step
+            t0 = np.where(i > 0, T[s, i - 1], t[s])
+            y0 = np.where(i > 0, Y[s, i - 1], y[s])
+            hit = ~(t0 + y0 / -c[steps[s, i]] > max_time)
+            s, i = s[hit], i[hit]
+            counts += np.bincount(path[s] // reps * n_minus + column[steps[s, i]],
+                                  minlength=counts.size)
+            censored += ended.size - s.size
+            run = ~over
+            path, ph, t, y = path[run], ph[run], T[run, -1], Y[run, -1]
     est = counts.reshape(model.n_plus, n_minus) / reps
     stderr = np.sqrt(est * (1.0 - est) / reps)
     return PsiEstimate(estimate=est, stderr=stderr,
                        censored_fraction=censored / total)
 
 
-def _reflected_steps(streams: _Streams, tables, c: np.ndarray, ph: int,
+def _reflected_steps(gen: np.random.Generator, tables, c: np.ndarray, ph: int,
                      max_time: float):
     """Steps of one reflected path up to ``max_time``, a window at a time.
 
@@ -227,8 +195,9 @@ def _reflected_steps(streams: _Streams, tables, c: np.ndarray, ph: int,
     pos = size
     while t < max_time:
         if pos == size:
-            for k in range(_WINDOW):
-                streams.chunk(exps[k], unis[k])
+            for k in range(_WINDOW):  # exponentials first, then uniforms
+                gen.standard_exponential(out=exps[k])
+                gen.random(out=unis[k])
             for s in range(0, size, block):
                 nxt[s:s + block] = _next_phase(cum, target, np.arange(n),
                                                unis.reshape(-1, 1)[s:s + block])
@@ -283,12 +252,10 @@ def estimate_density(model: FluidModel, cfg: SimConfig, x_max: float = 20.0,
         atom[0] = total
     else:
         tables = _jump_tables(model)
-        streams = _Streams(cfg.seed)
         start = int(model.ip[0]) if model.n_plus else 0
         for r in range(cfg.replications):
-            streams.start(r)
-            for P, t0, tau, t1, y0 in _reflected_steps(streams, tables, model.c,
-                                                       start, max_time):
+            for P, t0, tau, t1, y0 in _reflected_steps(_stream(cfg.seed, r), tables,
+                                                       model.c, start, max_time):
                 ck = model.c[P]
                 idle = (y0 == 0.0) & (ck <= 0.0)  # the whole step at level zero
                 hits = ~idle & (y0 + ck * tau < 0.0)  # reaches zero within the step

@@ -280,6 +280,14 @@ class TestSimulate:
         assert main(["simulate", model_file, "--replications", "0"]) == 2
         assert error_report(capsys)["error"] == "Usage"
 
+    @pytest.mark.parametrize("max_time", ["inf", "nan"])
+    def test_non_finite_max_time_is_usage_error(self, model_file, capsys, max_time):
+        assert main(["simulate", model_file, "--replications", "5",
+                     "--max-time", max_time]) == 2
+        report = error_report(capsys)
+        assert report == {"error": "Usage",
+                          "message": "max_time must be positive and finite"}
+
     def test_one_sided_model_is_empty_side(self, tmp_path, capsys):
         path = tmp_path / "down.json"
         path.write_text(json.dumps({"A": [[0.0]], "c": [-1.0]}))
