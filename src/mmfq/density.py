@@ -1,17 +1,14 @@
 """Stationary density of the level and its first-order correction.
 
 For a positive recurrent model the stationary density above level zero is
-
-    pi(x) = q exp(K x) [ C+^{-1} | psi |C-|^{-1} | Theta ]
-
-with columns ordered (up, down, zero) internally; the mass at level zero
-sits on the down and zero phases only.  Differentiating every factor
-along a generator direction gives the first-order correction pi1; the
-derivative of the boundary masses solves a Poisson equation through the
-group inverse of the boundary generator.
-
-Vectors returned by the evaluators are in the caller's original phase
-order.
+pi(x) = q exp(K x) W, with W = [ C+^{-1} | psi |C-|^{-1} | Theta ], and the
+mass at level zero sits on the down and zero phases only.  Differentiating
+every factor along a generator direction gives pi1(x) = [q, q1] exp(G x) W1
+with G = [[K, K1], [0, K]] (Van Loan, 1978) and W1 = [[0 | psi1 |C-|^{-1} |
+Theta1]; W]; the boundary-mass derivative solves a Poisson equation through
+the group inverse of the boundary generator.  ``StationaryLaw`` holds W and
+``FirstOrderLaw`` holds G, [q, q1] and W1, built once per law with columns in
+the caller's phase order, so each level costs one matrix exponential.
 """
 
 from __future__ import annotations
@@ -21,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FluidModel, censor_zero_phases
-from .errors import NotGeneratorKind, NotRecurrent, SingularNormalization, SingularSystem
+from .errors import (Inconclusive, NotGeneratorKind, NotRecurrent, SingularNormalization,
+                     SingularSystem)
 # conv_integral stays bound because tracers wrap mmfq.density.conv_integral by name
 from .numerics import (conv_integral, group_inverse, matrix_exp,  # noqa: F401
                        null_row_vector, solve_linear)
@@ -35,7 +33,7 @@ class StationaryLaw:
     """Pieces of the stationary law: exponent, zero-phase factor, weights.
 
     ``p_minus`` and ``p_zero`` are the probability masses at level zero on
-    the down and zero phases; ``q`` weights the exponential density part.
+    the down and zero phases; pi(x) = q exp(K x) W with ``W`` p x n.
     """
 
     K: np.ndarray
@@ -43,17 +41,21 @@ class StationaryLaw:
     q: np.ndarray
     p_minus: np.ndarray
     p_zero: np.ndarray
+    W: np.ndarray
 
 
 @dataclass(frozen=True)
 class FirstOrderLaw:
-    """First-order companions of a StationaryLaw under a generator direction."""
+    """First-order companions of a StationaryLaw: pi1(x) = v exp(G x) W1."""
 
     K1: np.ndarray
     Theta1: np.ndarray
     q1: np.ndarray
     p1_minus: np.ndarray
     p1_zero: np.ndarray
+    G: np.ndarray
+    v: np.ndarray
+    W1: np.ndarray
 
 
 def _right_solve(B: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -79,20 +81,25 @@ def _boundary_generator(model: FluidModel, psi: np.ndarray) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _row(model: FluidModel, v: np.ndarray, psi: np.ndarray,
-         theta: np.ndarray) -> np.ndarray:
-    """v [C+^{-1} | psi |C-|^{-1} | Theta], columns (up, down, zero)."""
-    return np.concatenate([v * (1.0 / model.c_plus),
-                           v @ (psi / model.c_minus_abs[None, :]), v @ theta])
+def _row_factor(model: FluidModel, diag: np.ndarray, theta: np.ndarray,
+                psi: np.ndarray) -> np.ndarray:
+    """[diag | Theta | psi |C-|^{-1}] on (up, zero, down) columns, in caller order."""
+    canonical = np.hstack([diag, theta, psi / model.c_minus_abs[None, :]])
+    return model.unpermute(canonical.T).T
 
 
-def _scatter(model: FluidModel, by_class: np.ndarray) -> np.ndarray:
-    """Map a (up, down, zero)-ordered vector to the original phase order."""
-    canonical = np.empty(model.n)
-    canonical[model.ip] = by_class[:model.n_plus]
-    canonical[model.im] = by_class[model.n_plus:model.n_plus + model.n_minus]
-    canonical[model.i0] = by_class[model.n_plus + model.n_minus:]
-    return model.unpermute(canonical)
+def _propagate(v: np.ndarray, G: np.ndarray, W: np.ndarray, x: float) -> np.ndarray:
+    """v exp(G x) W at a level x >= 0, with one matrix exponential."""
+    if not 0 <= x < np.inf:
+        raise ValueError(f"x must be finite and nonnegative, got {x}")
+    # far out G x or expm's squaring overflows (NaN from x ~ 3e37 on case 1a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Gx = G * x
+        if np.isfinite(Gx).all():
+            row = (v @ matrix_exp(Gx)) @ W
+            if np.isfinite(row).all():
+                return row
+    raise Inconclusive(f"matrix exponential not finite in double precision at x = {x}")
 
 
 def stationary_law(model: FluidModel, psi_sol: PsiSolution) -> StationaryLaw:
@@ -113,29 +120,28 @@ def stationary_law(model: FluidModel, psi_sol: PsiSolution) -> StationaryLaw:
     v_minus, v_zero = v[:model.n_minus], v[model.n_minus:]
     q_v = v_minus @ model.block(model.im, model.ip) \
         + v_zero @ model.block(model.i0, model.ip)
-    col_sums = 1.0 / model.c_plus + (psi / model.c_minus_abs[None, :]).sum(axis=1) \
-        + theta.sum(axis=1)
-    total_integral = q_v @ solve_linear(-K, col_sums)
-    denom = 1.0 + total_integral
+    W = _row_factor(model, np.diag(1.0 / model.c_plus), theta, psi)
+    denom = 1.0 + q_v @ solve_linear(-K, W.sum(axis=1))
     if denom <= 0:
         raise SingularNormalization(f"normalization denominator {denom:.3e}")
     s = 1.0 / denom
     return StationaryLaw(K=K, Theta=theta, q=s * q_v,
-                         p_minus=s * v_minus, p_zero=s * v_zero)
+                         p_minus=s * v_minus, p_zero=s * v_zero, W=W)
 
 
 def density_at(law: StationaryLaw, psi: np.ndarray, model: FluidModel,
                x: float) -> np.ndarray:
-    """Stationary density vector at level x >= 0, in original phase order."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return _scatter(model, _row(model, law.q @ matrix_exp(law.K * x), psi, law.Theta))
+    """Stationary density vector at level x >= 0, in original phase order.
+
+    ``psi`` and ``model`` must be the ones ``law`` was built from.  Raises
+    ``Inconclusive`` where exp(K x) is not finite in double precision.
+    """
+    return _propagate(law.q, law.K, law.W, x)
 
 
 def zero_mass(law: StationaryLaw, model: FluidModel) -> np.ndarray:
     """Probability mass at level zero per phase, in original phase order."""
-    by_class = np.concatenate([np.zeros(model.n_plus), law.p_minus, law.p_zero])
-    return _scatter(model, by_class)
+    return model.unpermute(np.concatenate([np.zeros(model.n_plus), law.p_zero, law.p_minus]))
 
 
 def first_order_law(model: FluidModel, psi_sol: PsiSolution,
@@ -180,18 +186,17 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
 
     # derivative of the normalization fixes the free constant; the
     # coefficient of the constant is the total mass, which is one
-    theta = law.Theta
-    col_sums = 1.0 / model.c_plus + psi_cm.sum(axis=1) + theta.sum(axis=1)
-    y = solve_linear(-K, col_sums)
-    mass1 = (p1_part.sum() + q1_part @ y
-             + law.q @ solve_linear(-K, K1 @ y)
-             + law.q @ solve_linear(-K, psi1_cm.sum(axis=1) + Theta1.sum(axis=1)))
-    const = -mass1
-    p1 = p1_part + const * p
-    q1 = q1_part + const * law.q
+    W1_top = _row_factor(model, np.zeros_like(K), Theta1, psi1)
+    y = solve_linear(-K, law.W.sum(axis=1))
+    mass1 = p1_part.sum() + q1_part @ y \
+        + law.q @ solve_linear(-K, K1 @ y + W1_top.sum(axis=1))
+    p1 = p1_part - mass1 * p
+    q1 = q1_part - mass1 * law.q
     return FirstOrderLaw(K1=K1, Theta1=Theta1, q1=q1,
-                         p1_minus=p1[:model.n_minus],
-                         p1_zero=p1[model.n_minus:])
+                         p1_minus=p1[:model.n_minus], p1_zero=p1[model.n_minus:],
+                         G=np.block([[K, K1], [np.zeros_like(K), K]]),
+                         v=np.concatenate([law.q, q1]),
+                         W1=np.vstack([W1_top, law.W]))
 
 
 def density1_at(fol: FirstOrderLaw, law: StationaryLaw, model: FluidModel,
@@ -200,16 +205,10 @@ def density1_at(fol: FirstOrderLaw, law: StationaryLaw, model: FluidModel,
 
     The row is a [0 | psi1 |C-|^{-1} | Theta1] + b [C+^{-1} | psi |C-|^{-1} | Theta]
     with [a, b] = [q e^{Kx}, q1 e^{Kx} + q L1(x)] = [q, q1] exp([[K, K1], [0, K]] x).
+    ``law``, ``model``, ``psi`` and ``psi1`` must be the ones ``fol`` was
+    built from.  Raises ``Inconclusive`` where the exponential is not finite.
     """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    p = model.n_plus
-    block = np.block([[law.K, fol.K1], [np.zeros_like(law.K), law.K]])
-    ab = np.concatenate([law.q, fol.q1]) @ matrix_exp(block * x)
-    a, b = ab[:p], ab[p:]
-    row = _row(model, b, psi, law.Theta)
-    row[p:] += np.concatenate([a @ (psi1 / model.c_minus_abs[None, :]), a @ fol.Theta1])
-    return _scatter(model, row)
+    return _propagate(fol.v, fol.G, fol.W1, x)
 
 
 def require_generator_kind(spec) -> None:

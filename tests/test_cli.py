@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ class TestDensity:
         manifest = json.loads((tmp_path / "dens.csv.manifest.json").read_text())
         atoms = sum(manifest["diagnostics"]["zero_mass"])
         assert abs(mass - (1.0 - atoms)) < 2e-4
+
+    @pytest.mark.parametrize("grid", ["0:1e40:3", "0:1e308:3"])
+    def test_overflowing_level_is_inconclusive(self, case_1a_file, tmp_path, capsys,
+                                               grid):
+        # the density there is zero, but exp(K x) or K x overflows in double
+        model, _ = case_1a_file
+        n = len(json.loads(Path(model).read_text())["c"])
+        D = np.full((n, n), 0.1)
+        np.fill_diagonal(D, -0.1 * (n - 1))
+        pert = tmp_path / "gen.json"
+        pert.write_text(json.dumps({"kind": "generator", "direction": D.tolist()}))
+        for extra in ([], ["--pert", str(pert)]):
+            assert main(["density", model, "--x", grid] + extra) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and "\n" not in err.strip()
+            assert json.loads(err)["error"] == "Inconclusive"
 
     def test_bad_grid_is_usage_error(self, model_file, capsys):
         assert main(["density", model_file, "--x", "nope"]) == 2

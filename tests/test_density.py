@@ -1,10 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 
 from mmfq import psi1_generator, solve_psi, validate_model, validate_perturbation
+from mmfq.bench import case_model
 from mmfq.density import (density1_at, density_at, first_order_law,
                           stationary_law, zero_mass)
-from mmfq.errors import NotGeneratorKind, NotRecurrent
+from mmfq.errors import Inconclusive, NotGeneratorKind, NotRecurrent
 from mmfq.riccati import perturbed_model
 
 from conftest import random_generator_direction, random_recurrent_model
@@ -15,6 +17,38 @@ def total_mass_by_quadrature(model, sol, law, x_max, n_points=4001):
     dens = np.array([density_at(law, sol.psi, model, x).sum() for x in xs])
     from scipy.integrate import simpson
     return zero_mass(law, model).sum() + simpson(dens, x=xs)
+
+
+def laws(model, direction):
+    """Solution, psi1, stationary law and first-order law along ``direction``."""
+    sol = solve_psi(model)
+    spec = validate_perturbation(model, "generator", direction)
+    psi1 = psi1_generator(model, sol, spec.direction)
+    return (sol, psi1, stationary_law(model, sol),
+            first_order_law(model, sol, spec.direction, psi1))
+
+
+def mp_row(model, v, up, psi, theta):
+    """v [diag(up) | psi |C-|^{-1} | Theta] summed in mpmath, canonical order."""
+    p, cm = model.n_plus, model.c_minus_abs
+    row = np.empty(model.n, dtype=object)
+    row[model.ip] = [v[i] * up[i] for i in range(p)]
+    row[model.im] = [mpmath.fsum(v[i] * psi[i, j] for i in range(p)) / cm[j]
+                     for j in range(model.n_minus)]
+    row[model.i0] = [mpmath.fsum(v[i] * theta[i, j] for i in range(p))
+                     for j in range(model.n_zero)]
+    return row
+
+
+@pytest.fixture(scope="module")
+def case_2a():
+    # the stiff case, on the grid points where the round-off of the double
+    # evaluation is largest
+    model, _ = case_model("2a")
+    sol, psi1, law, fol = laws(model, random_generator_direction(
+        model, np.random.default_rng([1, 3])))
+    xs = np.linspace(1e-9, 50.0 / abs(np.linalg.eigvals(law.K).real.max()), 501)
+    return model, sol, psi1, law, fol, xs, (1, 4, 8, 14, 15, 30, 100)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +106,32 @@ class TestStationaryLaw:
         sol = solve_psi(model)
         with pytest.raises(ValueError):
             density_at(stationary_law(model, sol), sol.psi, model, -1.0)
+
+    @pytest.mark.parametrize("x,error", [(np.inf, ValueError), (np.nan, ValueError),
+                                         (5e39, Inconclusive), (1e308, Inconclusive)])
+    def test_level_out_of_range(self, case_1a, x, error):
+        # at 5e39 the squaring inside expm overflows to NaN, at 1e308 K x
+        # itself overflows; the true density is zero at both
+        model, _ = case_1a
+        sol, psi1, law, fol = laws(model, random_generator_direction(
+            model, np.random.default_rng(65)))
+        with pytest.raises(error):
+            density_at(law, sol.psi, model, x)
+        with pytest.raises(error):
+            density1_at(fol, law, model, sol.psi, psi1, x)
+
+    def test_case_2a_against_extended_precision(self, case_2a):
+        # density_at against q exp(K x) [C+^{-1} | psi |C-|^{-1} | Theta]
+        # evaluated at 40 digits from the same double inputs
+        model, sol, _, law, _, xs, ks = case_2a
+        got = np.array([density_at(law, sol.psi, model, x) for x in xs])
+        with mpmath.workdps(40):
+            for k in ks:
+                a = mpmath.matrix([law.q.tolist()]) \
+                    * mpmath.expm(mpmath.matrix(law.K.tolist()) * xs[k])
+                want = mp_row(model, a, 1.0 / model.c_plus, sol.psi, law.Theta)
+                err = np.abs(got[k][model.perm] - want.astype(float)).max()
+                assert err <= 1e-12 * np.abs(got).max(), (k, err)
 
     def test_not_recurrent(self):
         model = validate_model([[-1.0, 1.0], [1.0, -1.0]], [2.0, -1.0])
@@ -155,37 +215,21 @@ class TestFirstOrder:
         p1 = np.concatenate([fol.p1_minus, fol.p1_zero])
         assert np.abs(p1 @ S + p @ S1).max() <= 1e-9
 
-    def test_case_2a_against_extended_precision(self):
-        # density1_at against its formula evaluated at 40 digits from the same
-        # double inputs, on the stiff case 2a at the grid points where the
-        # round-off of the double evaluation is largest
-        mpmath = pytest.importorskip("mpmath")
-        from mmfq.bench import case_model
-        model, _ = case_model("2a")
-        sol = solve_psi(model)
-        spec = validate_perturbation(model, "generator", random_generator_direction(
-            model, np.random.default_rng([1, 3])))
-        psi1 = psi1_generator(model, sol, spec.direction)
-        law = stationary_law(model, sol)
-        fol = first_order_law(model, sol, spec.direction, psi1)
-        xs = np.linspace(1e-9, 50.0 / abs(np.linalg.eigvals(law.K).real.max()), 501)
+    def test_case_2a_against_extended_precision(self, case_2a):
+        # density1_at against its formula evaluated at 40 digits from the
+        # same double inputs
+        model, sol, psi1, law, fol, xs, ks = case_2a
         got = np.array([density1_at(fol, law, model, sol.psi, psi1, x) for x in xs])
-        p, cm = model.n_plus, model.c_minus_abs
+        p = model.n_plus
         block = np.block([[law.K, fol.K1], [np.zeros((p, p)), law.K]])
         with mpmath.workdps(40):
-            for k in (1, 4, 8, 14, 15, 30, 100):
+            for k in ks:
                 ab = mpmath.matrix([np.concatenate([law.q, fol.q1]).tolist()]) \
                     * mpmath.expm(mpmath.matrix(block.tolist()) * xs[k])
                 a, b = ab[:p], ab[p:]  # q e^{Kx} and q1 e^{Kx} + q L1(x)
-                want = np.empty(model.n)
-                want[model.ip] = [b[i] / model.c_plus[i] for i in range(p)]
-                want[model.im] = [mpmath.fsum(a[i] * psi1[i, j] + b[i] * sol.psi[i, j]
-                                              for i in range(p)) / cm[j]
-                                  for j in range(model.n_minus)]
-                want[model.i0] = [mpmath.fsum(a[i] * fol.Theta1[i, j] + b[i] * law.Theta[i, j]
-                                              for i in range(p))
-                                  for j in range(model.n_zero)]
-                err = np.abs(got[k][model.perm] - want).max()
+                want = mp_row(model, a, np.zeros(p), psi1, fol.Theta1) \
+                    + mp_row(model, b, 1.0 / model.c_plus, sol.psi, law.Theta)
+                err = np.abs(got[k][model.perm] - want.astype(float)).max()
                 assert err <= 1e-12 * np.abs(got).max(), (k, err)
 
     def test_first_order_decay(self):
@@ -200,3 +244,26 @@ class TestFirstOrder:
         spec = validate_perturbation(two_phase, "rate", [0.1, 0.0])
         with pytest.raises(NotGeneratorKind):
             require_generator_kind(spec)
+
+
+def test_phase_order_invariance():
+    # the same model with its phases listed in shuffled order: every output
+    # is the unshuffled one permuted, which pins the columns of W and W1
+    rng = np.random.default_rng(66)
+    model = random_recurrent_model(7, rng, signs=[1, 1, 0, 0, -1, -1, -1],
+                                   max_drift=-0.3)
+    D = random_generator_direction(model, rng)
+    order = np.array([4, 2, 0, 6, 3, 1, 5])
+    shuffled = validate_model(model.A[np.ix_(order, order)], model.c[order])
+    sol, psi1, law, fol = laws(model, D)
+    sol_s, psi1_s, law_s, fol_s = laws(shuffled, D[np.ix_(order, order)])
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    close(zero_mass(law_s, shuffled), zero_mass(law, model)[order])
+    for x in (0.0, 0.7, 3.0):
+        close(density_at(law_s, sol_s.psi, shuffled, x),
+              density_at(law, sol.psi, model, x)[order])
+        close(density1_at(fol_s, law_s, shuffled, sol_s.psi, psi1_s, x),
+              density1_at(fol, law, model, sol.psi, psi1, x)[order])

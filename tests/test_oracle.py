@@ -21,10 +21,9 @@ The tests check the published table and its corrections in
 library's psi near zero drift against ``conftest.oracle_psi``.
 """
 
+import mpmath
 import numpy as np
 import pytest
-
-mpmath = pytest.importorskip("mpmath")
 
 from mmfq import expand, solve_psi, solve_psi_at, validate_model
 from mmfq.bench import (CASE_IDS, R_PLUS, REFERENCE_ERRATA, REFERENCE_NORMS,

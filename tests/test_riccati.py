@@ -48,7 +48,6 @@ class TestNearZeroDrift:
     def test_dense_transient_model(self, drift):
         # the minimal root is substochastic and K, not U, has the eigenvalue
         # near zero; the residual hides the lost digits, the oracle does not
-        pytest.importorskip("mpmath")
         rng = np.random.default_rng(30)
         A = random_generator(30, rng)
         signs = np.repeat([1, 0, -1], [13, 4, 13])  # already canonical order
@@ -179,7 +178,6 @@ class TestNewtonRiccati:
     def test_residual_above_tol_on_floor(self):
         # migrated up rates of 4e-5: ||C+ F|| reaches the round-off floor
         # while ||F|| stays above tol; the solve is accepted and accurate
-        pytest.importorskip("mpmath")
         model, spec = case_model("3a")
         sol, _ = solve_psi_at(model, spec, 1e-4)
         truth = oracle_psi(model.A, model.c + 1e-4 * spec.direction)
