@@ -10,10 +10,9 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import (LinAlgWarning, expm, get_lapack_funcs, lu_factor, lu_solve,
-                          schur)
+from scipy.linalg import LinAlgWarning, expm, get_lapack_funcs, lu_factor, lu_solve
 
-from .errors import Inconclusive, SingularSystem, Singular
+from .errors import Inconclusive, NoConvergence, SingularSystem, Singular
 
 PIVOT_RTOL = 1e-14
 
@@ -62,15 +61,15 @@ def solve_linear(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     return lu_solve((lu, piv), B, check_finite=False)
 
 
-def _schur_eigenvalues(T: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a standardized real Schur form: the diagonal, with
-    a +- i sqrt(-b c) on each 2x2 block [[a, b], [c, a]]."""
-    lam = np.diag(T).astype(complex)
-    k = np.flatnonzero(np.diag(T, -1))
-    im = np.sqrt(np.abs(T[k, k + 1] * T[k + 1, k]))
-    lam[k] += 1j * im
-    lam[k + 1] -= 1j * im
-    return lam
+def _real_schur(M: np.ndarray):
+    """Real Schur form M = Z T Z^T and the eigenvalues of M from one LAPACK
+    ``gees`` call, after the workspace query ``scipy.linalg.schur`` makes."""
+    gees, = get_lapack_funcs(("gees",), (M,))
+    lwork = int(gees(lambda x, y: None, M, lwork=-1)[-2][0])
+    T, _, wr, wi, Z, _, info = gees(lambda x, y: None, M, lwork=lwork)
+    if info != 0:
+        raise NoConvergence(f"LAPACK gees found no Schur form (info {info})")
+    return T, Z, wr + 1j * wi
 
 
 def sylvester_solver(K: np.ndarray, U: np.ndarray):
@@ -79,15 +78,16 @@ def sylvester_solver(K: np.ndarray, U: np.ndarray):
     Computes the real Schur forms K = Q T Q^T and U^T = Z S Z^T once and
     returns ``solve(H)``, which solves K X + X U = H with one LAPACK
     ``trsyl`` call.  Raises :class:`Singular` when spec(K) comes within
-    ``PIVOT_RTOL * (norm(K, inf) + norm(U, inf))`` of spec(-U).
+    ``PIVOT_RTOL * (norm(K, inf) + norm(U, inf))`` of spec(-U), and
+    :class:`NoConvergence` when ``gees`` finds no Schur form.
     """
     p, q = K.shape[0], U.shape[0]
     if p == 0 or q == 0:
         return lambda H: np.zeros((p, q))
-    T, Q = schur(K, output="real", check_finite=False)
-    S, Z = schur(U.T, output="real", check_finite=False)
+    T, Q, lam_K = _real_schur(K)
+    S, Z, lam_U = _real_schur(U.T)
     scale = np.linalg.norm(K, np.inf) + np.linalg.norm(U, np.inf)
-    gap = np.abs(_schur_eigenvalues(T)[:, None] + _schur_eigenvalues(S)).min()
+    gap = np.abs(lam_K[:, None] + lam_U).min()
     if scale == 0.0 or gap < PIVOT_RTOL * scale:
         raise Singular(f"spectral gap {gap:.3e} below {PIVOT_RTOL:.0e} * {scale:.3e}")
     trsyl, = get_lapack_funcs(("trsyl",), (T, S))

@@ -138,3 +138,21 @@ def two_phase():
 def case_1a():
     from mmfq.bench import case_model
     return case_model("1a")
+
+
+@pytest.fixture
+def gees_fails(monkeypatch):
+    """Make every LAPACK ``gees`` that ``mmfq.numerics`` calls report
+    info = 1, as when its QR iteration does not converge."""
+    from mmfq import numerics
+
+    lapack = numerics.get_lapack_funcs
+
+    def patched(names, arrays=()):
+        funcs = lapack(names, arrays)
+        if names != ("gees",):
+            return funcs
+        gees, = funcs
+        return (lambda *args, **kwargs: gees(*args, **kwargs)[:-1] + (1,),)
+
+    monkeypatch.setattr(numerics, "get_lapack_funcs", patched)

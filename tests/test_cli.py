@@ -114,6 +114,13 @@ class TestPsi:
         manifest = json.loads((tmp_path / "psi.csv.manifest.json").read_text())
         assert manifest["command"] == ["psi", model_file, "--out", out]
 
+    def test_failed_schur_is_no_convergence(self, case_1a_file, gees_fails, capsys):
+        path, _ = case_1a_file
+        assert main(["psi", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "\n" not in err.strip()
+        assert json.loads(err)["error"] == "NoConvergence"
+
 
 class TestPerturb:
     def test_zero_generator_direction(self, model_file, tmp_path, capsys):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from mmfq import numerics
-from mmfq.errors import Inconclusive, Singular
+from mmfq.errors import Inconclusive, NoConvergence, Singular
 from mmfq.numerics import (conv_integral, group_inverse, matrix_exp,
                            null_row_vector, solve_linear, solve_sylvester,
                            sylvester_residual, sylvester_solver)
@@ -104,9 +105,33 @@ class TestSolveSylvester:
     def test_empty_shapes_skip_schur(self, p, q, monkeypatch):
         def no_schur(*args, **kwargs):
             raise AssertionError("schur called on an empty problem")
-        monkeypatch.setattr(numerics, "schur", no_schur)
+        monkeypatch.setattr(numerics, "_real_schur", no_schur)
         X = solve_sylvester(np.zeros((p, p)), np.zeros((q, q)), np.zeros((p, q)))
         assert X.shape == (p, q)
+
+    def test_complex_pair_shared_is_singular(self):
+        # spec(K) = {+-i, -3} meets spec(-U) = {+-i, 2} only at the conjugate pair
+        R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        Q, _ = np.linalg.qr(np.random.default_rng(6).normal(size=(3, 3)))
+        K = Q @ scipy.linalg.block_diag(R, -3.0) @ Q.T
+        U = Q.T @ scipy.linalg.block_diag(R, -2.0) @ Q
+        with pytest.raises(Singular):
+            solve_sylvester(K, U, np.ones((3, 3)))
+
+    def test_complex_pair_gap_is_imaginary(self):
+        # spec(K) = {0.5 +- i} and spec(-U) = {0.5 -+ 2i} share real parts
+        # only, so the gap is the imaginary distance
+        R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        K = 0.5 * np.eye(2) + R
+        U = -0.5 * np.eye(2) + 2.0 * R.T
+        H = np.random.default_rng(7).normal(size=(2, 2))
+        expected = scipy.linalg.solve_sylvester(K, U, H)
+        assert np.abs(solve_sylvester(K, U, H) - expected).max() <= (
+            1e-13 * np.abs(expected).max())
+
+    def test_failed_schur_is_no_convergence(self, gees_fails):
+        with pytest.raises(NoConvergence):
+            solve_sylvester(-np.eye(2), -np.eye(2), np.ones((2, 2)))
 
     def test_solver_matches_scipy(self):
         rng = np.random.default_rng(5)
@@ -117,6 +142,20 @@ class TestSolveSylvester:
             H = rng.normal(size=(12, 9))
             expected = scipy.linalg.solve_sylvester(K, U, H)
             assert np.abs(solve(H) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 38, 80, 120, 200])
+def test_real_schur_matches_scipy(n):
+    # from n = 75 on LAPACK takes the multishift QR, whose result can depend
+    # on the workspace size; with OpenBLAS 0.3.31 the minimal workspace gives
+    # another T at n = 200, so this also pins the workspace query
+    M = np.random.default_rng(n).normal(size=(n, n))
+    T, Z, lam = numerics._real_schur(M)
+    T_ref, Z_ref = scipy.linalg.schur(M, output="real")
+    assert np.array_equal(T, T_ref) and np.array_equal(Z, Z_ref)
+    ref = np.linalg.eigvals(M)
+    rows, cols = linear_sum_assignment(np.abs(lam[:, None] - ref))
+    assert np.abs(lam[rows] - ref[cols]).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestMatrixExp:
