@@ -12,13 +12,17 @@ b = k // 1024, whose paths share the Philox stream keyed by
 for every path of the block still running, in path order.  Replication r
 of ``estimate_density`` draws from the stream keyed by (seed mod 2**64, r)
 in chunks of 64 exponentials, then 64 uniforms.  A path's i-th step in a
-chunk uses the i-th of each.  Paths run in numpy with the float
-operations of a step-by-step walk, so estimates are reproducible bit for
-bit from (seed, replications).
+chunk uses the i-th of each, and its next phase is ``bisect_left`` of the
+uniform on the cumulative jump row of its phase.  ``estimate_psi`` steps
+its paths in numpy lockstep; the reflected chain of ``estimate_density``
+takes one ``bisect_left`` per step.  Both keep the float operations of a
+step-by-step walk, so estimates are reproducible bit for bit from (seed,
+replications).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +34,7 @@ from . import core
 # work-array sizes: memory stays flat in the number of replications
 _CHUNK = 64          # draws of each kind per path and chunk
 _BLOCK = 1024        # consecutive paths of estimate_psi that share a stream
-_WINDOW = 8          # chunks that estimate_density draws at a time
-_LOOKUP = 1 << 15    # (step, phase, jump) comparisons made at once
+_WINDOW = 64         # most chunks that estimate_density draws at a time
 _CELLS = 1 << 12     # (step, bin) histogram cells expanded at once
 
 
@@ -98,9 +101,9 @@ def _jump_tables(model: FluidModel):
 
 
 def _next_phase(cum, target, ph, u):
-    """Phase after a jump out of ``ph`` driven by the uniform ``u`` (both
-    broadcast): ``bisect_left`` on row ``ph`` of ``cum``, the first entry
-    not below u (every row holds 1 > u)."""
+    """Phases after the jumps of ``estimate_psi``'s paths out of ``ph``
+    driven by the uniforms ``u``: ``bisect_left`` on row ``ph`` of ``cum``,
+    the first entry not below u (every row holds 1 > u)."""
     below = cum.take(ph, axis=0) < u[..., None]
     return target[ph, below.argmin(axis=-1)]
 
@@ -182,33 +185,33 @@ def _reflected_steps(gen: np.random.Generator, tables, c: np.ndarray, ph: int,
     Yields arrays (phase, t, tau, t + tau, y) of consecutive steps: the
     step length is ``min(e / rate, max_time - t)``, and ``y``, the level
     at the start of each step, follows ``y <- max(0, y + c tau)`` in step
-    order.  Only the phase chain and that recursion are sequential.
+    order.  Only the phase chain, one ``bisect_left`` per step, and that
+    recursion are sequential.
     """
     rates, cum, target = tables
-    n = rates.size
-    size = _WINDOW * _CHUNK
-    exps = np.empty((_WINDOW, _CHUNK))
+    rows = [row[np.isfinite(row)].tolist() for row in cum]
+    targets = target.tolist()
+    exps = np.empty(_WINDOW * _CHUNK)
     unis = np.empty_like(exps)
-    nxt = np.empty((size, n), dtype=np.intp)
-    block = max(1, _LOOKUP // cum.size)
+    top = rates.max()
     y = t = 0.0
-    pos = size
+    pos = size = 0
     while t < max_time:
         if pos == size:
-            for k in range(_WINDOW):  # exponentials first, then uniforms
-                gen.standard_exponential(out=exps[k])
-                gen.random(out=unis[k])
-            for s in range(0, size, block):
-                nxt[s:s + block] = _next_phase(cum, target, np.arange(n),
-                                               unis.reshape(-1, 1)[s:s + block])
-            table = nxt.ravel().tolist()  # table[s * n + p]: phase after step s from p
+            # the steps expected in the rest of the path at the highest exit
+            # rate, in at most _WINDOW chunks: a short path draws few numbers
+            size = min(_WINDOW, int((max_time - t) * top) // _CHUNK + 1) * _CHUNK
+            for k in range(0, size, _CHUNK):  # exponentials first, then uniforms
+                gen.standard_exponential(out=exps[k:k + _CHUNK])
+                gen.random(out=unis[k:k + _CHUNK])
+            us = unis[:size].tolist()
             pos = 0
         chain = [ph]
-        for s in range(pos * n, size * n, n):
-            ph = table[s + ph]
+        for u in us[pos:]:
+            ph = targets[ph][bisect_left(rows[ph], u)]
             chain.append(ph)
         P = np.array(chain[:-1])
-        tau = exps.ravel()[pos:] / rates[P]
+        tau = exps[pos:size] / rates[P]
         T = np.cumsum(np.concatenate(([t], tau)))  # T[k]: start of step k
         # the first step that starts at max_time or is cut short by it
         cut = (T[:-1] >= max_time) | (max_time - T[:-1] < tau)
@@ -238,6 +241,10 @@ def estimate_density(model: FluidModel, cfg: SimConfig, x_max: float = 20.0,
     rates at the boundary) goes into the per-phase atom.  Every cell
     receives its contributions in step order.
     """
+    if not 0.0 < x_max < np.inf:
+        raise ValueError("x_max must be positive and finite")
+    if n_bins < 1:
+        raise ValueError("n_bins must be at least 1")
     if core.mean_drift(model) >= 0:
         raise NotRecurrent("density estimation requires negative drift")
     n = model.n

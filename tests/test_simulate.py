@@ -124,6 +124,13 @@ class TestEstimateDensity:
         assert not est.pdf.any() and not est.overflow.any()
         assert est.pdf.shape == (10, 1)
 
+    @pytest.mark.parametrize("x_max, n_bins", [(0.0, 10), (np.inf, 10), (np.nan, 10),
+                                               (-1.0, 10), (5.0, 0), (5.0, -3)])
+    def test_bad_histogram_arguments(self, two_phase, x_max, n_bins):
+        cfg = SimConfig(replications=1, seed=1, max_time=10.0)
+        with pytest.raises(ValueError, match="x_max|n_bins"):
+            estimate_density(two_phase, cfg, x_max=x_max, n_bins=n_bins)
+
     def test_atoms_only_on_nonpositive_rates(self, three_phase):
         cfg = SimConfig(replications=20, seed=13, max_time=200.0, burn_in=5.0)
         est = estimate_density(three_phase, cfg)
@@ -281,14 +288,18 @@ class TestDensityGolden:
                          "0", "0"]}
 
 
+def _dyadic_model():
+    # dyadic jump probabilities make every cumulative boundary exact
+    A = np.array([[-4.0, 1.0, 1.0, 2.0], [2.0, -4.0, 2.0, 0.0],
+                  [0.0, 0.0, -1.0, 1.0], [1.0, 3.0, 0.0, -4.0]])
+    return validate_model(A, [1.0, -1.0, 0.5, -2.0])
+
+
 class TestNextPhase:
     def test_matches_bisect_left_at_boundaries(self):
         from bisect import bisect_left
         from mmfq.simulate import _jump_tables, _next_phase
-        # dyadic jump probabilities make every cumulative boundary exact
-        A = np.array([[-4.0, 1.0, 1.0, 2.0], [2.0, -4.0, 2.0, 0.0],
-                      [0.0, 0.0, -1.0, 1.0], [1.0, 3.0, 0.0, -4.0]])
-        model = validate_model(A, [1.0, -1.0, 0.5, -2.0])
+        model = _dyadic_model()
         _, cum, target = _jump_tables(model)
         for k in range(model.n):
             row = cum[k][np.isfinite(cum[k])].tolist()
@@ -297,6 +308,109 @@ class TestNextPhase:
             us = np.array(us + [np.nextafter(1.0, 0.0)])
             want = [target[k, bisect_left(row, u)] for u in us]
             assert _next_phase(cum, target, np.full(us.size, k), us).tolist() == want
-            # the (step, phase) table form used by estimate_density
-            table = _next_phase(cum, target, np.arange(model.n), us[:, None])
-            assert table[:, k].tolist() == want
+
+
+def _scalar_reflected_walk(model, gen, max_time):
+    """Steps (phase, t, tau, t + tau, y) of one reflected path, one at a time.
+
+    Reads ``gen`` in chunks of 64 exponentials, then 64 uniforms; step i
+    of a chunk lasts e_i / rate, cut at ``max_time``, and jumps to the
+    phase found by ``bisect_left`` of u_i on the cumulative jump row of
+    its phase.
+    """
+    from bisect import bisect_left
+    from itertools import accumulate
+    A, c, n = model.A, model.c.tolist(), model.n
+    rows, targets = [], []
+    for k in range(n):
+        js = [j for j in range(n) if j != k and A[k, j] > 0]
+        w = [float(A[k, j]) for j in js]
+        total = sum(w)
+        row = list(accumulate(x / total for x in w))
+        row[-1] = 1.0
+        rows.append(row)
+        targets.append(js)
+    ph, t, y = int(model.ip[0]), 0.0, 0.0
+    steps = []
+    i = 64
+    while t < max_time:
+        if i == 64:
+            exps = gen.standard_exponential(64).tolist()
+            unis = gen.random(64).tolist()
+            i = 0
+        tau = exps[i] / -float(A[ph, ph])
+        if max_time - t < tau:
+            tau = max_time - t
+        steps.append((ph, t, tau, t + tau, y))
+        y = max(0.0, y + c[ph] * tau)
+        t += tau
+        ph = targets[ph][bisect_left(rows[ph], unis[i])]
+        i += 1
+    return steps
+
+
+def _dense_six_phase():
+    # every row jumps to all five other phases
+    rng = np.random.default_rng(6)
+    A = rng.uniform(0.2, 2.0, size=(6, 6))
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    return validate_model(A, [1.5, 0.7, 0.0, -0.4, -1.2, -2.5])
+
+
+class _BoundaryDraws:
+    """Stand-in generator: every exponential is 1, and the uniforms cycle
+    through ``us``."""
+
+    def __init__(self, us):
+        from itertools import cycle
+        self._us = cycle(us)
+
+    def standard_exponential(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = 1.0
+        return out
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = [next(self._us) for _ in range(out.size)]
+        return out
+
+
+class TestReflectedSteps:
+    # short walks end inside their first window; long ones span several,
+    # two of them or more at the largest size.  Every phase of case 3a
+    # jumps at rate 14, so at max_time 200 its walk overruns the first
+    # window, sized for the steps expected at that rate, by 4 steps
+    @pytest.mark.parametrize("name, max_time, n_windows", [
+        ("dense6", 40.0, 1), ("dense6", 5000.0, None), ("1a", 100.0, 1),
+        ("1a", 5000.0, None), ("3a", 200.0, 2)])
+    def test_matches_scalar_walk(self, name, max_time, n_windows):
+        from mmfq.simulate import _CHUNK, _WINDOW, _jump_tables, _reflected_steps, _stream
+        model = _dense_six_phase() if name == "dense6" else _case(name)
+        seed, r = 20260808, 2
+        windows = list(_reflected_steps(_stream(seed, r), _jump_tables(model), model.c,
+                                        int(model.ip[0]), max_time))
+        got = [step for window in windows for step in zip(*(a.tolist() for a in window))]
+        want = _scalar_reflected_walk(model, _stream(seed, r), max_time)
+        if n_windows is None:
+            assert len(want) > 2 * _WINDOW * _CHUNK
+        else:
+            assert len(windows) == n_windows
+        assert got == want
+
+    def test_uniforms_on_jump_boundaries(self):
+        # u at, just below and just above every inner boundary: a jump
+        # lands on the first entry of the row not below u
+        from mmfq.simulate import _jump_tables, _reflected_steps
+        model = _dyadic_model()
+        tables = _jump_tables(model)
+        cum = tables[1]
+        bounds = sorted({b for b in cum[np.isfinite(cum)].tolist() if b < 1.0})
+        us = [v for b in bounds for v in (np.nextafter(b, 0.0), b, np.nextafter(b, 1.0))]
+        windows = list(_reflected_steps(_BoundaryDraws(us), tables, model.c,
+                                        int(model.ip[0]), 300.0))
+        got = [step for window in windows for step in zip(*(a.tolist() for a in window))]
+        want = _scalar_reflected_walk(model, _BoundaryDraws(us), 300.0)
+        assert len({step[0] for step in want}) == model.n
+        assert got == want
