@@ -207,7 +207,7 @@ def error_norms(model: FluidModel, psi_eps: PsiSolution, pmodel: FluidModel,
     col_pos = {int(p): j for j, p in enumerate(col_orig)}
     rows = [row_pos[int(p)] for p in expansion.row_phases]
     cols = [col_pos[int(p)] for p in expansion.col_phases]
-    D = np.abs(psi_eps.psi[np.ix_(rows, cols)]
+    D = np.abs(psi_eps.psi.take(rows, 0).take(cols, 1)
                - expansion.psi_bar - eps * expansion.psi1)
     row_sums = D.sum(axis=1)
     col_sums = D.sum(axis=0)

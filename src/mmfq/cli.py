@@ -329,6 +329,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        # psi, perturb and density take a tol; NaN or inf would skip Newton
+        if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
+            raise argparse.ArgumentTypeError(f"bad tol {args.tol!r}, expected 0 <= tol < inf")
         return args.func(args)
     except UnknownCase as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidPerturbation, NotAGenerator,
                      Reducible, SingularBlock, Singular)
-from .numerics import as_matrix, as_vector, null_row_vector, solve_linear
+from .numerics import _inf_norm, as_matrix, as_vector, null_row_vector, solve_linear
 
 ROWSUM_RTOL = 1e-12
 
@@ -63,9 +63,7 @@ class FluidModel:
         return np.abs(self.c[self.im])
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        if len(rows) == 0 or len(cols) == 0:
-            return np.zeros((len(rows), len(cols)))
-        return self.A[np.ix_(rows, cols)]
+        return self.A.take(rows, 0).take(cols, 1)
 
     def canonical_labels(self) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in self.perm)
@@ -138,8 +136,7 @@ def validate_model(A, c, labels=None) -> FluidModel:
         if len(labels) != n:
             raise DimensionMismatch(f"{len(labels)} labels for {n} phases")
 
-    scale = max(np.linalg.norm(A, np.inf), 0.0)
-    tol = ROWSUM_RTOL * scale
+    tol = ROWSUM_RTOL * _inf_norm(A)
     off = A.copy()
     np.fill_diagonal(off, 0.0)
     if off.min(initial=0.0) < -tol:
@@ -152,7 +149,7 @@ def validate_model(A, c, labels=None) -> FluidModel:
 
     rank = np.where(c > 0, 0, np.where(c == 0, 1, 2))
     perm = np.argsort(rank, kind="stable")
-    A_can = A[np.ix_(perm, perm)]
+    A_can = A.take(perm, 0).take(perm, 1)
     c_can = c[perm]
     for arr in (A_can, c_can, perm):
         arr.flags.writeable = False
@@ -183,26 +180,19 @@ def censor_zero_phases(model: FluidModel) -> CensoredBlocks:
     ``A`` plus the first-passage correction through the zero-rate block.
     """
     ip, i0, im = model.ip, model.i0, model.im
-    A_pp = model.block(ip, ip)
-    A_pm = model.block(ip, im)
-    A_mp = model.block(im, ip)
-    A_mm = model.block(im, im)
-    A_00 = model.block(i0, i0)
     try:
-        # N = (-A_00)^{-1} applied to the outgoing rows
-        N_rows = solve_linear(-A_00, np.hstack([model.block(i0, ip),
-                                                model.block(i0, im)]))
+        # N = (-A_00)^{-1} applied to the outgoing rows, up columns first
+        N_rows = solve_linear(-model.block(i0, i0),
+                              model.block(i0, np.concatenate([ip, im])))
     except Singular as exc:
         raise SingularBlock("zero-rate block is singular") from exc
-    N_p = N_rows[:, :model.n_plus]
-    N_m = N_rows[:, model.n_plus:]
-    A_p0 = model.block(ip, i0)
-    A_m0 = model.block(im, i0)
+    N_p, N_m = N_rows[:, :model.n_plus], N_rows[:, model.n_plus:]
+    A_p0, A_m0 = model.block(ip, i0), model.block(im, i0)
     return CensoredBlocks(
-        Q_pp=A_pp + A_p0 @ N_p,
-        Q_pm=A_pm + A_p0 @ N_m,
-        Q_mp=A_mp + A_m0 @ N_p,
-        Q_mm=A_mm + A_m0 @ N_m)
+        Q_pp=model.block(ip, ip) + A_p0 @ N_p,
+        Q_pm=model.block(ip, im) + A_p0 @ N_m,
+        Q_mp=model.block(im, ip) + A_m0 @ N_p,
+        Q_mm=model.block(im, im) + A_m0 @ N_m)
 
 
 def validate_perturbation(model: FluidModel, kind: str, direction) -> PerturbationSpec:
@@ -222,8 +212,8 @@ def validate_perturbation(model: FluidModel, kind: str, direction) -> Perturbati
         D = as_matrix(direction, "direction")
         if D.shape != model.A.shape:
             raise DimensionMismatch(f"direction shape {D.shape}, expected {model.A.shape}")
-        D = D[np.ix_(model.perm, model.perm)]
-        tol = ROWSUM_RTOL * max(np.linalg.norm(D, np.inf), 1.0)
+        D = D.take(model.perm, 0).take(model.perm, 1)
+        tol = ROWSUM_RTOL * max(_inf_norm(D), 1.0)
         if np.abs(D.sum(axis=1)).max(initial=0.0) > tol:
             raise InvalidPerturbation("generator direction rows do not sum to zero")
         off_zero = (model.A <= 0.0) & ~np.eye(model.n, dtype=bool)
@@ -277,6 +267,6 @@ def load_model(path) -> FluidModel:
 def model_to_dict(model: FluidModel) -> dict:
     """Serialize back to the on-disk layout, in the original phase order."""
     inv = np.argsort(model.perm)
-    A = model.A[np.ix_(inv, inv)]
+    A = model.A.take(inv, 0).take(inv, 1)
     c = model.c[inv]
     return {"A": A.tolist(), "c": c.tolist(), "labels": list(model.labels)}

@@ -161,28 +161,31 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
     psi1_cm = psi1 / model.c_minus_abs[None, :]
     At = np.asarray(a_tilde, dtype=float)
 
+    def at(rows, cols):  # a C-ordered block of At, as model.block is of A
+        return At.take(rows, 0).take(cols, 1)
+
     blocks = censor_zero_phases(model)
     Qt_pp, _, Qt_mp, _ = qtilde_blocks(model, At)
     K1 = Qt_pp / cp + psi1_cm @ blocks.Q_mp + psi_cm @ Qt_mp
 
-    inner = At[np.ix_(ip, i0)] / cp + psi1_cm @ model.block(im, i0) \
-        + psi_cm @ At[np.ix_(im, i0)] + law.Theta @ At[np.ix_(i0, i0)]
+    inner = at(ip, i0) / cp + psi1_cm @ model.block(im, i0) \
+        + psi_cm @ at(im, i0) + law.Theta @ at(i0, i0)
     Theta1 = _right_solve(inner, -model.block(i0, i0))
 
     # Poisson equation for the boundary-mass derivative:
     # x S = -p S1 has solutions x = -p S1 S^# + const * p
     S = _boundary_generator(model, psi)
     S1 = np.vstack([
-        np.hstack([At[np.ix_(im, im)] + At[np.ix_(im, ip)] @ psi
-                   + model.block(im, ip) @ psi1, At[np.ix_(im, i0)]]),
-        np.hstack([At[np.ix_(i0, im)] + At[np.ix_(i0, ip)] @ psi
-                   + model.block(i0, ip) @ psi1, At[np.ix_(i0, i0)]])])
+        np.hstack([at(im, im) + at(im, ip) @ psi
+                   + model.block(im, ip) @ psi1, at(im, i0)]),
+        np.hstack([at(i0, im) + at(i0, ip) @ psi
+                   + model.block(i0, ip) @ psi1, at(i0, i0)])])
     p = np.concatenate([law.p_minus, law.p_zero])
     S_sharp = group_inverse(S, p / p.sum())
     p1_part = -(p @ S1) @ S_sharp
     q1_part = p1_part[:model.n_minus] @ model.block(im, ip) \
         + p1_part[model.n_minus:] @ model.block(i0, ip) \
-        + law.p_minus @ At[np.ix_(im, ip)] + law.p_zero @ At[np.ix_(i0, ip)]
+        + law.p_minus @ at(im, ip) + law.p_zero @ at(i0, ip)
 
     # derivative of the normalization fixes the free constant; the
     # coefficient of the constant is the total mass, which is one

@@ -7,10 +7,8 @@ non-finite entries.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, expm, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import expm, get_lapack_funcs
 
 from .errors import Inconclusive, NoConvergence, SingularSystem, Singular
 
@@ -22,7 +20,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -31,16 +29,21 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
+def _inf_norm(X: np.ndarray):
+    """Largest absolute row sum: the reduction of numpy's matrix inf-norm."""
+    return np.abs(X).sum(axis=1).max(initial=0.0)
+
+
 def solve_linear(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve M X = B by partially pivoted LU.
+    """Solve M X = B by partially pivoted LU, one LAPACK getrf/getrs pair.
 
     Raises :class:`Singular` when an LU pivot falls below
-    ``1e-14 * norm(M, inf)``.
+    ``1e-14 * norm(M, inf)``, as an exactly zero one does.
     """
     M = as_matrix(M, "M")
     B = np.asarray(B, dtype=float)
@@ -50,15 +53,13 @@ def solve_linear(M: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError(f"incompatible shapes {M.shape} and {B.shape}")
     if M.size == 0:
         return np.zeros_like(B)
-    scale = np.linalg.norm(M, np.inf)
-    with warnings.catch_warnings():
-        # the pivot check below raises Singular; scipy's warning is redundant
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(M, check_finite=False)
+    scale = _inf_norm(M)
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (M,))
+    lu, piv, _ = getrf(M)
     pivots = np.abs(np.diag(lu))
     if scale == 0.0 or pivots.min() < PIVOT_RTOL * scale:
         raise Singular(f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * {scale:.3e}")
-    return lu_solve((lu, piv), B, check_finite=False)
+    return getrs(lu, piv, B)[0]
 
 
 def _real_schur(M: np.ndarray):
@@ -86,7 +87,7 @@ def sylvester_solver(K: np.ndarray, U: np.ndarray):
         return lambda H: np.zeros((p, q))
     T, Q, lam_K = _real_schur(K)
     S, Z, lam_U = _real_schur(U.T)
-    scale = np.linalg.norm(K, np.inf) + np.linalg.norm(U, np.inf)
+    scale = _inf_norm(K) + _inf_norm(U)
     gap = np.abs(lam_K[:, None] + lam_U).min()
     if scale == 0.0 or gap < PIVOT_RTOL * scale:
         raise Singular(f"spectral gap {gap:.3e} below {PIVOT_RTOL:.0e} * {scale:.3e}")
@@ -113,10 +114,9 @@ def solve_sylvester(K: np.ndarray, U: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 def sylvester_residual(K, U, H, X) -> float:
     """Relative residual norm(K X + X U - H) / scale of the data."""
-    num = np.linalg.norm(K @ X + X @ U - H, np.inf)
-    scale = ((np.linalg.norm(K, np.inf) + np.linalg.norm(U, np.inf))
-             * max(np.linalg.norm(X, np.inf), 1e-300)
-             + np.linalg.norm(H, np.inf))
+    num = _inf_norm(K @ X + X @ U - H)
+    scale = ((_inf_norm(K) + _inf_norm(U)) * max(_inf_norm(X), 1e-300)
+             + _inf_norm(H))
     return num / max(scale, 1e-300)
 
 
@@ -141,8 +141,7 @@ def group_inverse(M: np.ndarray, left_null: np.ndarray) -> np.ndarray:
     if M.shape[0] != M.shape[1] or pi.shape[0] != n:
         raise ValueError(f"incompatible shapes {M.shape} and {pi.shape}")
     one_pi = np.outer(np.ones(n), pi)
-    sharp = solve_linear(M - one_pi, np.eye(n)) + one_pi
-    return sharp
+    return solve_linear(M - one_pi, np.eye(n)) + one_pi
 
 
 def stable_spectrum(M: np.ndarray, margin: float = 1e-8) -> bool:
@@ -197,7 +196,7 @@ def null_row_vector(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
         v = solve_linear(bordered.T, rhs)
     except Singular as exc:
         raise SingularSystem(str(exc)) from exc
-    scale = max(np.linalg.norm(M, np.inf), 1.0)
-    if np.linalg.norm(v @ M, np.inf) > rtol * scale:
+    scale = max(_inf_norm(M), 1.0)
+    if np.abs(v @ M).max(initial=0.0) > rtol * scale:
         raise SingularSystem("null-vector residual exceeds tolerance")
     return v

@@ -90,14 +90,14 @@ def qtilde_blocks(model: FluidModel, a_tilde: np.ndarray):
     At = np.asarray(a_tilde, dtype=float)
     out = {}
     N = _inv(-model.block(i0, i0))
-    At00 = At[np.ix_(i0, i0)]
+    At00 = At.take(i0, 0).take(i0, 1)
     for r, ir in (("p", ip), ("m", im)):
         A_r0 = model.block(ir, i0)
-        At_r0 = At[np.ix_(ir, i0)]
+        At_r0 = At.take(ir, 0).take(i0, 1)
         for c, ic in (("p", ip), ("m", im)):
             A_0c = model.block(i0, ic)
-            At_0c = At[np.ix_(i0, ic)]
-            out[r + c] = (At[np.ix_(ir, ic)] + At_r0 @ N @ A_0c
+            At_0c = At.take(i0, 0).take(ic, 1)
+            out[r + c] = (At.take(ir, 0).take(ic, 1) + At_r0 @ N @ A_0c
                           + A_r0 @ N @ At00 @ N @ A_0c + A_r0 @ N @ At_0c)
     return out["pp"], out["pm"], out["mp"], out["mm"]
 

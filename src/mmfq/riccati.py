@@ -24,7 +24,7 @@ from .core import (FluidModel, PerturbationSpec, censor_zero_phases,
 from .errors import (EmptySide, InvalidEpsilon, NoConvergence, NotAGenerator,
                      Reducible)
 # solve_linear stays bound because tracers wrap mmfq.riccati.solve_linear by name
-from .numerics import solve_linear, stable_spectrum, sylvester_solver  # noqa: F401
+from .numerics import _inf_norm, solve_linear, stable_spectrum, sylvester_solver  # noqa: F401
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_NEWTON = 50
@@ -74,7 +74,10 @@ def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
     ``NoConvergence`` unless ||F||_inf meets ``tol`` or ||C F||_inf is at
     that floor, so with tiny rates an accepted ||F||_inf can exceed ``tol``.
     An empty side (p or q zero) returns the empty root without a step.
+    Raises ``ValueError`` unless 0 <= ``tol`` < inf.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     p, q = Qd.shape
     X = np.zeros((p, q))
     if p == 0 or q == 0:
@@ -85,19 +88,19 @@ def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
     # scaled residuals below this are double-precision evaluation noise
     floor = FLOOR_FACTOR * np.finfo(float).eps * max(scale, 1.0) * max(p, q)
     H = _residual(Qd, Qa, Mu, Mb, c, X)
-    hres = np.linalg.norm(H, np.inf)
-    res = np.linalg.norm(H / c, np.inf)
+    hres = _inf_norm(H)
+    res = _inf_norm(H / c)
     history = [res]
     iterations = 0
     while res > tol and iterations < max_newton:
         new_X = X + sylvester_solver(Ma + X @ Mb, Mu + Mb @ X)(-H / c)
         new_H = _residual(Qd, Qa, Mu, Mb, c, new_X)
-        new_hres = np.linalg.norm(new_H, np.inf)
+        new_hres = _inf_norm(new_H)
         # above the floor a full step may raise ||C F|| while X still rises
         if new_hres >= hres and hres <= floor:
             break  # stagnated at the arithmetic floor
         X, H, hres = new_X, new_H, new_hres
-        res = np.linalg.norm(H / c, np.inf)
+        res = _inf_norm(H / c)
         history.append(res)
         iterations += 1
     if res > tol and hres > floor:
@@ -135,7 +138,7 @@ def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb):
         U = Mu + Mb @ X
         H = _residual(*eq, X) - cp * (shift * (z_p @ X - z_m))
     X = X + sylvester_solver(Ma + X @ Mb, U)(-H / cp)
-    return X, float(np.linalg.norm(_residual(*eq, X) / cp, np.inf))
+    return X, float(_inf_norm(_residual(*eq, X) / cp))
 
 
 def _coefficients(model: FluidModel, blocks):
@@ -160,6 +163,7 @@ def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
     ``residual`` is ||F||_inf of the unscaled equation.  A solve is accepted
     when it meets ``tol`` or when ||C+ F||_inf is at the round-off floor, so
     with tiny up rates it can exceed ``tol`` (case 3a at eps = 1e-4: 4e-11).
+    Newton raises ``ValueError`` unless 0 <= ``tol`` < inf.
     """
     if model.n_plus == 0 or model.n_minus == 0:
         raise EmptySide("model needs at least one positive and one negative rate")

@@ -121,6 +121,20 @@ class TestPsi:
         assert out == "" and "\n" not in err.strip()
         assert json.loads(err)["error"] == "NoConvergence"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-12"])
+    def test_bad_tol_is_usage_error(self, case_1a_file, capsys, tol):
+        # a NaN tol printed an all-zero psi with exit 0, and density raised
+        # SingularNormalization; every verb that solves psi rejects it
+        model, pert = case_1a_file
+        for argv in (["psi", model], ["perturb", model, pert],
+                     ["density", model, "--x", "0:1:3"]):
+            assert main(argv + [f"--tol={tol}"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert json.loads(err) == {
+                "error": "Usage",
+                "message": f"bad tol {float(tol)!r}, expected 0 <= tol < inf"}
+
 
 class TestPerturb:
     def test_zero_generator_direction(self, model_file, tmp_path, capsys):

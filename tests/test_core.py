@@ -90,6 +90,31 @@ class TestValidateModel:
         assert np.array_equal(model.A, A[np.ix_(model.perm, model.perm)])
 
 
+class TestBlockLayout:
+    """Blocks are C-ordered copies equal to the np.ix_ read: an F-ordered
+    block sends BLAS down another kernel and moves results by an ulp."""
+
+    INDEX = [np.arange(0), np.arange(1, 4), np.array([4, 0, 2])]
+
+    @pytest.mark.parametrize("rows", INDEX)
+    @pytest.mark.parametrize("cols", INDEX)
+    def test_block(self, rows, cols):
+        model = random_recurrent_model(5, np.random.default_rng(21))
+        block = model.block(rows, cols)
+        assert block.flags.c_contiguous
+        assert np.array_equal(block, model.A[np.ix_(rows, cols)])
+        assert block.shape == (len(rows), len(cols))
+
+    @pytest.mark.parametrize("c", [[2.0, 1.0, 0.0, -1.0, -3.0],
+                                   [-1.0, 2.0, 0.0, -3.0, 1.0]])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_canonical_reorder(self, c, order):
+        A = np.asarray(random_generator(5, np.random.default_rng(22)), order=order)
+        model = validate_model(A, c)
+        assert model.A.flags.c_contiguous
+        assert np.array_equal(model.A, A[np.ix_(model.perm, model.perm)])
+
+
 class TestStationaryDist:
     def test_symmetric_two_phase(self, two_phase):
         assert np.allclose(stationary_phase_dist(two_phase), [0.5, 0.5],

@@ -47,6 +47,25 @@ class TestSolveLinear:
         with pytest.raises(Singular):
             solve_linear(M, np.eye(2))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_scipy_lu_bitwise(self, order):
+        # the getrf/getrs pair is what scipy's lu_factor/lu_solve run
+        rng = np.random.default_rng(15)
+        for n in (1, 4, 15):
+            M = np.asarray(rng.normal(size=(n, n)) + n * np.eye(n), order=order)
+            lu_piv = scipy.linalg.lu_factor(M)
+            for B in (rng.normal(size=(n, 3)), rng.normal(size=n), np.zeros((n, 0))):
+                X = solve_linear(M, B)
+                assert X.shape == B.shape
+                assert np.array_equal(X, scipy.linalg.lu_solve(lu_piv, B))
+
+    @pytest.mark.parametrize("B", [np.ones((3, 2)), np.ones(3), np.zeros((3, 0))])
+    def test_exact_zero_pivot_raises(self, B):
+        # getrf reports info > 0 here; the pivot test raises, with no warning
+        M = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.5, 0.0, 4.0]])
+        with pytest.raises(Singular):
+            solve_linear(M, B)
+
 
 class TestSolveSylvester:
     def test_scalar(self):

@@ -148,6 +148,13 @@ class TestNewtonBehaviour:
         with pytest.raises(EmptySide):
             solve_psi(model)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12])
+    def test_bad_tol_is_rejected(self, case_1a, tol):
+        # a NaN or infinite tol ended Newton before its first step: psi = 0
+        model, _ = case_1a
+        with pytest.raises(ValueError, match="tol"):
+            solve_psi(model, tol=tol)
+
 
 class TestNewtonRiccati:
     @pytest.mark.parametrize("a,root", [(3e-7, 0.3), (1e-7, 0.1)])
@@ -168,6 +175,12 @@ class TestNewtonRiccati:
             np.ones(3))
         assert X.shape == (3, 0) and iterations == 0
         assert history == (0.0,)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tol_is_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            newton_riccati(np.array([[3e-7]]), np.array([[-3e-7]]),
+                           np.array([[-1.0]]), np.array([[1.0]]), [1e-6], tol=tol)
 
     def test_no_convergence_without_steps(self):
         with pytest.raises(NoConvergence):
