@@ -138,6 +138,9 @@ def cmd_psi(args) -> int:
 
 def cmd_perturb(args) -> int:
     t0 = time.perf_counter()
+    # a NaN or infinite eps would reach the perturbed generator's validation
+    if not np.isfinite(args.eps_check or []).all():
+        raise argparse.ArgumentTypeError(f"bad eps-check {args.eps_check!r}, expected finite eps")
     model = load_model(args.model)
     spec = perturb.load_perturbation(args.pert, model)
     sol = solve_psi(model, tol=args.tol)

@@ -257,11 +257,13 @@ def load_model(path) -> FluidModel:
         raise DimensionMismatch('model file must contain "A" and "c"')
     try:
         A = np.asarray(doc["A"], dtype=float)
+        c = np.asarray(doc["c"], dtype=float)
+        labels = None if doc.get("labels") is None else tuple(str(x) for x in doc["labels"])
     except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"A is not a rectangular array of numbers: {exc}") from exc
+        raise DimensionMismatch(f"A, c or labels is not an array of numbers: {exc}") from exc
     if not np.isfinite(A).all():
         raise NotAGenerator("A has non-finite entries")
-    return validate_model(A, doc["c"], labels=doc.get("labels"))
+    return validate_model(A, c, labels=labels)
 
 
 def model_to_dict(model: FluidModel) -> dict:

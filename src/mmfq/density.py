@@ -7,8 +7,9 @@ every factor along a generator direction gives pi1(x) = [q, q1] exp(G x) W1
 with G = [[K, K1], [0, K]] (Van Loan, 1978) and W1 = [[0 | psi1 |C-|^{-1} |
 Theta1]; W]; the boundary-mass derivative solves a Poisson equation through
 the group inverse of the boundary generator.  ``StationaryLaw`` holds W and
-``FirstOrderLaw`` holds G, [q, q1] and W1, built once per law with columns in
-the caller's phase order, so each level costs one matrix exponential.
+``FirstOrderLaw`` G, [q, q1] and W1, with columns in the caller's phase order,
+and each holds an evaluator of exp(K x) or exp(G x) with the powers and norms
+of its exponent: all are built once per law, so a level costs one Pade step.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 from .core import FluidModel, censor_zero_phases
 from .errors import (Inconclusive, NotGeneratorKind, NotRecurrent, SingularNormalization,
                      SingularSystem)
-# conv_integral stays bound because tracers wrap mmfq.density.conv_integral by name
-from .numerics import (conv_integral, group_inverse, matrix_exp,  # noqa: F401
-                       null_row_vector, solve_linear)
+# conv_integral and matrix_exp stay bound because tracers wrap them here by name
+from .numerics import (ExpEvaluator, conv_integral, exp_evaluator, group_inverse,  # noqa: F401
+                       matrix_exp, null_row_vector, solve_linear)
 from .perturb import qtilde_blocks
 from .riccati import PsiSolution
 from . import core
@@ -42,6 +43,7 @@ class StationaryLaw:
     p_minus: np.ndarray
     p_zero: np.ndarray
     W: np.ndarray
+    exp_K: ExpEvaluator
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,7 @@ class FirstOrderLaw:
     G: np.ndarray
     v: np.ndarray
     W1: np.ndarray
+    exp_G: ExpEvaluator
 
 
 def _right_solve(B: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -88,17 +91,13 @@ def _row_factor(model: FluidModel, diag: np.ndarray, theta: np.ndarray,
     return model.unpermute(canonical.T).T
 
 
-def _propagate(v: np.ndarray, G: np.ndarray, W: np.ndarray, x: float) -> np.ndarray:
-    """v exp(G x) W at a level x >= 0, with one matrix exponential."""
-    if not 0 <= x < np.inf:
-        raise ValueError(f"x must be finite and nonnegative, got {x}")
-    # far out G x or expm's squaring overflows (NaN from x ~ 3e37 on case 1a)
+def _propagate(v: np.ndarray, expm: ExpEvaluator, W: np.ndarray, x: float) -> np.ndarray:
+    """v exp(G x) W at a level x >= 0, from the law's evaluator of exp(G x)."""
+    # far out the evaluator's x eta overflows (from x ~ 1e307 on case 1a)
     with np.errstate(over="ignore", invalid="ignore"):
-        Gx = G * x
-        if np.isfinite(Gx).all():
-            row = (v @ matrix_exp(Gx)) @ W
-            if np.isfinite(row).all():
-                return row
+        row = (v @ expm(x)) @ W
+        if np.isfinite(row).all():
+            return row
     raise Inconclusive(f"matrix exponential not finite in double precision at x = {x}")
 
 
@@ -125,8 +124,8 @@ def stationary_law(model: FluidModel, psi_sol: PsiSolution) -> StationaryLaw:
     if denom <= 0:
         raise SingularNormalization(f"normalization denominator {denom:.3e}")
     s = 1.0 / denom
-    return StationaryLaw(K=K, Theta=theta, q=s * q_v,
-                         p_minus=s * v_minus, p_zero=s * v_zero, W=W)
+    return StationaryLaw(K=K, Theta=theta, q=s * q_v, p_minus=s * v_minus,
+                         p_zero=s * v_zero, W=W, exp_K=exp_evaluator(K))
 
 
 def density_at(law: StationaryLaw, psi: np.ndarray, model: FluidModel,
@@ -136,7 +135,7 @@ def density_at(law: StationaryLaw, psi: np.ndarray, model: FluidModel,
     ``psi`` and ``model`` must be the ones ``law`` was built from.  Raises
     ``Inconclusive`` where exp(K x) is not finite in double precision.
     """
-    return _propagate(law.q, law.K, law.W, x)
+    return _propagate(law.q, law.exp_K, law.W, x)
 
 
 def zero_mass(law: StationaryLaw, model: FluidModel) -> np.ndarray:
@@ -195,11 +194,11 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
         + law.q @ solve_linear(-K, K1 @ y + W1_top.sum(axis=1))
     p1 = p1_part - mass1 * p
     q1 = q1_part - mass1 * law.q
+    G = np.block([[K, K1], [np.zeros_like(K), K]])
     return FirstOrderLaw(K1=K1, Theta1=Theta1, q1=q1,
                          p1_minus=p1[:model.n_minus], p1_zero=p1[model.n_minus:],
-                         G=np.block([[K, K1], [np.zeros_like(K), K]]),
-                         v=np.concatenate([law.q, q1]),
-                         W1=np.vstack([W1_top, law.W]))
+                         G=G, v=np.concatenate([law.q, q1]),
+                         W1=np.vstack([W1_top, law.W]), exp_G=exp_evaluator(G))
 
 
 def density1_at(fol: FirstOrderLaw, law: StationaryLaw, model: FluidModel,
@@ -211,7 +210,7 @@ def density1_at(fol: FirstOrderLaw, law: StationaryLaw, model: FluidModel,
     ``law``, ``model``, ``psi`` and ``psi1`` must be the ones ``fol`` was
     built from.  Raises ``Inconclusive`` where the exponential is not finite.
     """
-    return _propagate(fol.v, fol.G, fol.W1, x)
+    return _propagate(fol.v, fol.exp_G, fol.W1, x)
 
 
 def require_generator_kind(spec) -> None:

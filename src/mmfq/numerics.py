@@ -7,8 +7,11 @@ non-finite entries.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.linalg import expm, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .errors import Inconclusive, NoConvergence, SingularSystem, Singular
 
@@ -120,12 +123,77 @@ def sylvester_residual(K, U, H, X) -> float:
     return num / max(scale, 1e-300)
 
 
+# Pade [13/13] coefficients b_k / b_0 (b_0 = 1 keeps exp(0) = I exact) and a
+# zero; theta_13 and |c_27| of Al-Mohy & Higham, SIMAX 31(3), 2009, Alg. 5.1
+_PADE13 = np.array([math.comb(13, k) * math.factorial(26 - k) / math.factorial(26)
+                    for k in range(14)] + [0.0])
+_THETA13 = 4.25
+_LOG2_C27 = math.log2(math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27)))
+# degrees of the terms over I, M^2, M^4, M^6 in U = M (M^6 S0 + S2), V = M^6 S1 + S3
+_TERMS = np.array([[14, 9, 11, 13], [14, 8, 10, 12], [1, 3, 5, 7], [0, 2, 4, 6]])
+_DEGREES = np.arange(15.0)
+_GESV, = get_lapack_funcs(("gesv",), dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class ExpEvaluator:
+    """x -> exp(M x) from :func:`exp_evaluator`: M scaled by 2^-sigma, its
+    powers I, M^2, M^4, M^6, and the scaling norms eta and ell."""
+
+    M: np.ndarray
+    M6: np.ndarray
+    powers: np.ndarray
+    sigma: int
+    eta: float
+    ell: float
+
+    def __call__(self, x: float) -> np.ndarray:
+        """exp(M x) for finite x >= 0; Inconclusive where x eta overflows."""
+        if not 0 <= x < np.inf:
+            raise ValueError(f"x must be finite and nonnegative, got {x}")
+        x_eta, n, s = x * self.eta, len(self.M), 0
+        if x_eta == np.inf:
+            raise Inconclusive(f"scaling norm of exp(M x) overflows at x = {x}")
+        if x_eta > 0:  # squarings for the scaling norm, then for the Pade error
+            s = max(math.ceil(math.log2(x_eta / _THETA13)), 0)
+            s += math.ceil(max(self.ell + math.log2(x) + self.sigma - s, 0.0))
+        t = math.ldexp(x, self.sigma - s)  # the Pade step is exp(t M)
+        S = ((_PADE13 * t ** _DEGREES)[_TERMS] @ self.powers).reshape(4, n, n)
+        UV = self.M6 @ S[:2] + S[2:]
+        U, V = self.M @ UV[0], UV[1]
+        R, info = _GESV(V - U, V + U, overwrite_a=1, overwrite_b=1)[2:]
+        for _ in range(s):
+            R = R @ R
+        return R if info == 0 else np.full((n, n), np.nan)
+
+
+def exp_evaluator(M: np.ndarray) -> ExpEvaluator:
+    """Pade [13/13] scaling and squaring for exp(M x), set up once per M.
+
+    The scaling comes from ||(x M)^k||^{1/k} = x ||M^k||^{1/k}, so the
+    powers and the exact 1-norms of M^6, M^8, M^10 and |M|^27 are built
+    here, once.  M is first scaled to unit 1-norm by a power of two.
+    """
+    sigma = math.frexp(_inf_norm(M.T))[1]
+    M = np.ldexp(M, -sigma)
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    d6, d8, d10 = (_inf_norm(P.T) ** (1.0 / k) for k, P in ((6, M6), (8, M4 @ M4), (10, M4 @ M6)))
+    # floored so that t < 2^23 and t^14 stays finite, as for a nilpotent M
+    eta = max(min(max(d6, d8), max(d8, d10)), 2.0 ** -20)
+    norm, b27 = (_inf_norm(P.T) for P in (M, np.linalg.matrix_power(np.abs(M), 27)))
+    return ExpEvaluator(M=M, M6=M6, powers=np.stack([np.eye(len(M)), M2, M4, M6]).reshape(4, -1),
+                        sigma=sigma, eta=math.ldexp(eta, sigma),
+                        ell=(_LOG2_C27 + 53 + math.log2(b27 / norm)) / 26 if b27 else -math.inf)
+
+
 def matrix_exp(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring (``scipy.linalg.expm``)."""
+    """Matrix exponential, :func:`exp_evaluator` at x = 1."""
     M = as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got {M.shape}")
-    return expm(M)
+    return exp_evaluator(M)(1.0)
 
 
 def group_inverse(M: np.ndarray, left_null: np.ndarray) -> np.ndarray:

@@ -210,7 +210,7 @@ def _reflected_steps(gen: np.random.Generator, tables, c: np.ndarray, ph: int,
         for u in us[pos:]:
             ph = targets[ph][bisect_left(rows[ph], u)]
             chain.append(ph)
-        P = np.array(chain[:-1])
+        P = np.fromiter(chain, np.intp, len(chain) - 1)
         tau = exps[pos:size] / rates[P]
         T = np.cumsum(np.concatenate(([t], tau)))  # T[k]: start of step k
         # the first step that starts at max_time or is cut short by it
@@ -227,7 +227,7 @@ def _reflected_steps(gen: np.random.Generator, tables, c: np.ndarray, ph: int,
             y += d
             if y < 0.0:
                 y = 0.0
-        yield P, T[:K], tau, T[1:K + 1], np.array(levels)
+        yield P, T[:K], tau, T[1:K + 1], np.fromiter(levels, float, K)
         t, ph, pos = float(T[K]), chain[K], pos + K
 
 

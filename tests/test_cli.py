@@ -29,6 +29,18 @@ def case_1a_file(tmp_path):
     return str(path), str(pert)
 
 
+@pytest.fixture
+def case_1a_generator(case_1a_file, tmp_path):
+    """Case 1a and a generator direction for it, as file paths."""
+    model, _ = case_1a_file
+    n = len(json.loads(Path(model).read_text())["c"])
+    D = np.full((n, n), 0.1)
+    np.fill_diagonal(D, -0.1 * (n - 1))
+    pert = tmp_path / "gen.json"
+    pert.write_text(json.dumps({"kind": "generator", "direction": D.tolist()}))
+    return model, str(pert)
+
+
 def error_report(capsys) -> dict:
     """The one-line JSON error report on stderr."""
     err = capsys.readouterr().err.strip()
@@ -68,6 +80,16 @@ class TestValidate:
         path.write_text(json.dumps({"A": [[-1.0, 1.0], [1.0]], "c": [1.0, -1.0]}))
         assert main(["validate", str(path)]) == 1
         assert error_report(capsys)["error"] == "DimensionMismatch"
+
+    @pytest.mark.parametrize("key,value", [("labels", 5), ("c", ["a", -1.0])])
+    def test_malformed_rates_or_labels(self, tmp_path, capsys, key, value):
+        # both ended in a TypeError or ValueError traceback
+        doc = {"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [1.0, -1.0], key: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("validate", "psi"):
+            assert main([verb, str(path)]) == 1
+            assert error_report(capsys)["error"] == "DimensionMismatch"
 
     def test_nan_in_generator(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
@@ -178,6 +200,13 @@ class TestPerturb:
         assert main(["perturb", str(mp), str(pp)]) == 0
         return json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_check_is_usage_error(self, case_1a_generator, capsys, eps):
+        # with a generator direction this ended in a ValueError traceback
+        model, pert = case_1a_generator
+        assert main(["perturb", model, pert, "--eps-check", "1e-4", eps]) == 2
+        assert error_report(capsys)["error"] == "Usage"
+
     def test_general_regime_lists_blocks(self, tmp_path, capsys):
         doc = self.perturb_zero_phases(tmp_path, capsys, [0.5, 0.8, -0.6])
         assert doc["regime"] == "general"
@@ -228,21 +257,25 @@ class TestDensity:
         atoms = sum(manifest["diagnostics"]["zero_mass"])
         assert abs(mass - (1.0 - atoms)) < 2e-4
 
-    @pytest.mark.parametrize("grid", ["0:1e40:3", "0:1e308:3"])
-    def test_overflowing_level_is_inconclusive(self, case_1a_file, tmp_path, capsys,
-                                               grid):
-        # the density there is zero, but exp(K x) or K x overflows in double
-        model, _ = case_1a_file
-        n = len(json.loads(Path(model).read_text())["c"])
-        D = np.full((n, n), 0.1)
-        np.fill_diagonal(D, -0.1 * (n - 1))
-        pert = tmp_path / "gen.json"
-        pert.write_text(json.dumps({"kind": "generator", "direction": D.tolist()}))
-        for extra in ([], ["--pert", str(pert)]):
+    @pytest.mark.parametrize("grid", ["0:1e308:3"])
+    def test_overflowing_level_is_inconclusive(self, case_1a_generator, capsys, grid):
+        # the density there is zero, but x times the scaling norm of K overflows
+        model, pert = case_1a_generator
+        for extra in ([], ["--pert", pert]):
             assert main(["density", model, "--x", grid] + extra) == 1
             out, err = capsys.readouterr()
             assert out == "" and "\n" not in err.strip()
             assert json.loads(err)["error"] == "Inconclusive"
+
+    def test_underflowed_levels_are_zero_rows(self, case_1a_generator, capsys):
+        # at 5e39 and 1e40 the density has underflowed to exactly zero
+        model, pert = case_1a_generator
+        for extra in ([], ["--pert", pert]):
+            assert main(["density", model, "--x", "0:1e40:3"] + extra) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            assert [float(r[0]) for r in rows] == [0.0, 5e39, 1e40]
+            assert all(float(v) == 0.0 for r in rows[1:] for v in r[1:])
+            assert max(float(v) for v in rows[0][1:]) > 0.0
 
     def test_bad_grid_is_usage_error(self, model_file, capsys):
         assert main(["density", model_file, "--x", "nope"]) == 2

@@ -1,3 +1,5 @@
+import pickle
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from mmfq.bench import case_model
 from mmfq.density import (density1_at, density_at, first_order_law,
                           stationary_law, zero_mass)
 from mmfq.errors import Inconclusive, NotGeneratorKind, NotRecurrent
+from mmfq.numerics import _THETA13
 from mmfq.riccati import perturbed_model
 
 from conftest import random_generator_direction, random_recurrent_model
@@ -108,10 +111,10 @@ class TestStationaryLaw:
             density_at(stationary_law(model, sol), sol.psi, model, -1.0)
 
     @pytest.mark.parametrize("x,error", [(np.inf, ValueError), (np.nan, ValueError),
-                                         (5e39, Inconclusive), (1e308, Inconclusive)])
+                                         (1e308, Inconclusive)])
     def test_level_out_of_range(self, case_1a, x, error):
-        # at 5e39 the squaring inside expm overflows to NaN, at 1e308 K x
-        # itself overflows; the true density is zero at both
+        # at 1e308 x times the scaling norm of K overflows; the true density
+        # is zero there
         model, _ = case_1a
         sol, psi1, law, fol = laws(model, random_generator_direction(
             model, np.random.default_rng(65)))
@@ -119,6 +122,15 @@ class TestStationaryLaw:
             density_at(law, sol.psi, model, x)
         with pytest.raises(error):
             density1_at(fol, law, model, sol.psi, psi1, x)
+
+    def test_underflowed_level_is_zero(self, case_1a):
+        # at 5e39 the squarings underflow to the exact zero the density is
+        model, _ = case_1a
+        sol, psi1, law, fol = laws(model, random_generator_direction(
+            model, np.random.default_rng(65)))
+        assert np.array_equal(density_at(law, sol.psi, model, 5e39), np.zeros(model.n))
+        assert np.array_equal(density1_at(fol, law, model, sol.psi, psi1, 5e39),
+                              np.zeros(model.n))
 
     def test_case_2a_against_extended_precision(self, case_2a):
         # density_at against q exp(K x) [C+^{-1} | psi |C-|^{-1} | Theta]
@@ -244,6 +256,37 @@ class TestFirstOrder:
         spec = validate_perturbation(two_phase, "rate", [0.1, 0.0])
         with pytest.raises(NotGeneratorKind):
             require_generator_kind(spec)
+
+
+@pytest.mark.parametrize("name", ["1a", "2a", "dense"])
+def test_exponentials_against_extended_precision(name):
+    # each law's evaluator against a 50-digit expm, just below and above
+    # the levels 2^k theta13 / eta where its number of squarings steps up
+    if name == "dense":
+        model = random_recurrent_model(8, np.random.default_rng(67),
+                                       signs=[1, 1, 1, 0, 0, -1, -1, -1], max_drift=-0.1)
+    else:
+        model, _ = case_model(name)
+    _, _, law, fol = laws(model, random_generator_direction(
+        model, np.random.default_rng(68)))
+    for M, E in ((law.K, law.exp_K), (fol.G, fol.exp_G)):
+        for x in [2.0 ** k * _THETA13 / E.eta * f for k in (0, 3) for f in (0.999, 1.001)]:
+            with mpmath.workdps(50):
+                want = np.array(mpmath.expm(mpmath.matrix(M.tolist()) * x).tolist(),
+                                dtype=float)
+            assert np.abs(E(x) - want).max() <= 1e-13 * np.abs(want).max(), (x, M.shape)
+
+
+def test_laws_pickle(case_1a):
+    model, _ = case_1a
+    sol, psi1, law, fol = laws(model, random_generator_direction(
+        model, np.random.default_rng(65)))
+    law2, fol2 = pickle.loads(pickle.dumps((law, fol)))
+    for x in (0.0, 0.7, 30.0):
+        assert np.array_equal(density_at(law2, sol.psi, model, x),
+                              density_at(law, sol.psi, model, x))
+        assert np.array_equal(density1_at(fol2, law2, model, sol.psi, psi1, x),
+                              density1_at(fol, law, model, sol.psi, psi1, x))
 
 
 def test_phase_order_invariance():

@@ -5,7 +5,7 @@ from scipy.optimize import linear_sum_assignment
 
 from mmfq import numerics
 from mmfq.errors import Inconclusive, NoConvergence, Singular
-from mmfq.numerics import (conv_integral, group_inverse, matrix_exp,
+from mmfq.numerics import (conv_integral, exp_evaluator, group_inverse, matrix_exp,
                            null_row_vector, solve_linear, solve_sylvester,
                            sylvester_residual, sylvester_solver)
 
@@ -202,6 +202,41 @@ class TestMatrixExp:
         M = rng.normal(size=(6, 6)) * 3.0
         assert np.allclose(matrix_exp(M), scipy.linalg.expm(M),
                            rtol=1e-11, atol=1e-11)
+
+
+class TestExpEvaluator:
+    def test_zero_and_nilpotent_are_exact(self):
+        zero = exp_evaluator(np.zeros((3, 3)))
+        nilpotent = exp_evaluator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for x in (0.0, 0.3, 7.0, 1e20):
+            assert np.array_equal(zero(x), np.eye(3))
+            assert np.array_equal(nilpotent(x), [[1.0, x], [0.0, 1.0]])
+
+    def test_diagonal_and_scalar(self):
+        diagonal = exp_evaluator(np.diag([1.0, -2.0, 0.0]))
+        scalar = exp_evaluator(np.array([[-0.7]]))
+        for x in (0.0, 0.5, 2.0, 9.0):
+            assert np.allclose(diagonal(x), np.diag(np.exp([x, -2.0 * x, 0.0])),
+                               rtol=1e-14, atol=0.0)
+            assert abs(scalar(x)[0, 0] / np.exp(-0.7 * x) - 1.0) <= 1e-14
+
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(69)
+        for n, scale in ((2, 0.1), (6, 1.0), (9, 3.0)):
+            M = rng.normal(size=(n, n)) * scale
+            E = exp_evaluator(M)
+            for x in (0.0, 0.05, 0.7, 4.0):
+                want = scipy.linalg.expm(M * x)
+                assert np.abs(E(x) - want).max() <= 1e-12 * np.abs(want).max(), (n, x)
+
+    @pytest.mark.parametrize("x", [-1.0, np.inf, np.nan])
+    def test_bad_level(self, x):
+        with pytest.raises(ValueError):
+            exp_evaluator(np.eye(2))(x)
+
+    def test_overflowing_scaling_is_inconclusive(self):
+        with pytest.raises(Inconclusive):
+            exp_evaluator(-4.0 * np.eye(2))(1e308)
 
 
 class TestGroupInverse:
