@@ -91,11 +91,11 @@ def _row_factor(model: FluidModel, diag: np.ndarray, theta: np.ndarray,
     return model.unpermute(canonical.T).T
 
 
-def _propagate(v: np.ndarray, expm: ExpEvaluator, W: np.ndarray, x: float) -> np.ndarray:
+def _propagate(v: np.ndarray, exp_G: ExpEvaluator, W: np.ndarray, x: float) -> np.ndarray:
     """v exp(G x) W at a level x >= 0, from the law's evaluator of exp(G x)."""
-    # far out the evaluator's x eta overflows (from x ~ 1e307 on case 1a)
+    # the evaluator raises Inconclusive where x eta overflows (x ~ 1e307 on case 1a)
     with np.errstate(over="ignore", invalid="ignore"):
-        row = (v @ expm(x)) @ W
+        row = (v @ exp_G(x)) @ W
         if np.isfinite(row).all():
             return row
     raise Inconclusive(f"matrix exponential not finite in double precision at x = {x}")

@@ -137,8 +137,9 @@ _GESV, = get_lapack_funcs(("gesv",), dtype=np.float64)
 
 @dataclass(frozen=True)
 class ExpEvaluator:
-    """x -> exp(M x) from :func:`exp_evaluator`: M scaled by 2^-sigma, its
-    powers I, M^2, M^4, M^6, and the scaling norms eta and ell."""
+    """x -> exp(M x) from :func:`exp_evaluator`: M scaled by 2^-sigma, its powers
+    I, M^2, M^4, M^6, the scaling norm eta of the unscaled M and ell, the
+    per-log2(t) offset of the squarings that bound the Pade error."""
 
     M: np.ndarray
     M6: np.ndarray
@@ -152,6 +153,8 @@ class ExpEvaluator:
         if not 0 <= x < np.inf:
             raise ValueError(f"x must be finite and nonnegative, got {x}")
         x_eta, n, s = x * self.eta, len(self.M), 0
+        if n == 0:
+            return np.eye(0)
         if x_eta == np.inf:
             raise Inconclusive(f"scaling norm of exp(M x) overflows at x = {x}")
         if x_eta > 0:  # squarings for the scaling norm, then for the Pade error

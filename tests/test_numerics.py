@@ -208,6 +208,7 @@ class TestExpEvaluator:
     def test_zero_and_nilpotent_are_exact(self):
         zero = exp_evaluator(np.zeros((3, 3)))
         nilpotent = exp_evaluator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert exp_evaluator(np.zeros((0, 0)))(1.0).shape == (0, 0)
         for x in (0.0, 0.3, 7.0, 1e20):
             assert np.array_equal(zero(x), np.eye(3))
             assert np.array_equal(nilpotent(x), [[1.0, x], [0.0, 1.0]])
