@@ -6,9 +6,8 @@ from .core import (CensoredBlocks, FluidModel, PerturbationSpec,
                    stationary_phase_dist, validate_model,
                    validate_perturbation)
 from .riccati import PsiSolution, build_UK, solve_psi, solve_psi_at
-from .perturb import (PsiExpansion, SeriesBlocks, expand, expand_general,
-                      expand_to_minus, expand_to_plus, load_perturbation,
-                      psi1_generator, psi1_rate_unaffected, series_blocks)
+from .perturb import (PsiExpansion, SeriesBlocks, expand, load_perturbation,
+                      psi1_generator)
 from .density import (FirstOrderLaw, StationaryLaw, density1_at, density_at,
                       first_order_law, stationary_law, zero_mass)
 from .simulate import (DensityEstimate, PsiEstimate, SimConfig,
@@ -23,10 +22,9 @@ __all__ = [
     "PsiSolution", "SeriesBlocks", "StationaryLaw", "build_UK",
     "calibrate_rminus", "case_model", "censor_zero_phases", "density1_at",
     "density_at", "error_norms", "estimate_density", "estimate_psi",
-    "expand", "expand_general", "expand_to_minus", "expand_to_plus",
-    "first_order_law", "load_model", "load_perturbation", "mean_drift",
-    "psi1_generator", "psi1_rate_unaffected", "run_case", "series_blocks",
-    "solve_psi", "solve_psi_at", "stationary_law", "stationary_phase_dist",
-    "validate_model", "validate_perturbation", "zero_mass",
+    "expand", "first_order_law", "load_model", "load_perturbation",
+    "mean_drift", "psi1_generator", "run_case", "solve_psi", "solve_psi_at",
+    "stationary_law", "stationary_phase_dist", "validate_model",
+    "validate_perturbation", "zero_mass",
     "__version__",
 ]

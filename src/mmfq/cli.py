@@ -335,6 +335,10 @@ def main(argv=None) -> int:
         # psi, perturb and density take a tol; NaN or inf would skip Newton
         if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
             raise argparse.ArgumentTypeError(f"bad tol {args.tol!r}, expected 0 <= tol < inf")
+        # psi takes a step cap; a negative one would report NoConvergence
+        if getattr(args, "max_newton", 0) < 0:
+            raise argparse.ArgumentTypeError(
+                f"bad max-newton {args.max_newton!r}, expected max_newton >= 0")
         return args.func(args)
     except UnknownCase as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)

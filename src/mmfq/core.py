@@ -253,14 +253,16 @@ def load_model(path) -> FluidModel:
     """Load and validate a model from a JSON file {"A": ..., "c": ..., "labels": ...}."""
     with open(path) as fh:
         doc = json.load(fh)
-    if "A" not in doc or "c" not in doc:
-        raise DimensionMismatch('model file must contain "A" and "c"')
+    if not isinstance(doc, dict) or "A" not in doc or "c" not in doc:
+        raise DimensionMismatch('model file must be an object with "A" and "c"')
     try:
         A = np.asarray(doc["A"], dtype=float)
-        c = np.asarray(doc["c"], dtype=float)
+        c = as_vector(doc["c"], "c")
         labels = None if doc.get("labels") is None else tuple(str(x) for x in doc["labels"])
     except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"A, c or labels is not an array of numbers: {exc}") from exc
+        raise DimensionMismatch(f"A, c or labels is not a finite array of numbers: {exc}") from exc
+    if A.ndim != 2:
+        raise DimensionMismatch(f"A must be 2-dimensional, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise NotAGenerator("A has non-finite entries")
     return validate_model(A, c, labels=labels)

@@ -55,10 +55,6 @@ class InvalidEpsilon(FluidQueueError):
     code = "InvalidEpsilon"
 
 
-class WrongRegime(FluidQueueError):
-    code = "WrongRegime"
-
-
 class InnerRiccatiDiverged(FluidQueueError):
     code = "InnerRiccatiDiverged"
 

@@ -1,14 +1,14 @@
 """First-order expansions of the first-return matrix.
 
-Two expansion routes are implemented:
+:func:`expand` is the one entry point; it takes one of two routes:
 
 * generator direction ``A + eps*At`` (:func:`psi1_generator`),
-* rate direction, by the migration elimination (:func:`expand_general`):
-  the zero-rate phases split by sign into a migrating-up and a
-  migrating-down class.  The other regimes run it with classes empty:
-  :func:`expand_to_plus` (every zero-rate phase migrates up),
-  :func:`expand_to_minus` (every one migrates down) and
-  :func:`psi1_rate_unaffected` (none migrates; they are censored out).
+* rate direction, by the migration elimination: the zero-rate phases
+  split by sign into a migrating-up and a migrating-down class.  Every
+  regime runs it; ``spec.regime`` names the one at hand: ``general``
+  (both classes occupied), ``to_plus`` (every zero-rate phase migrates
+  up), ``to_minus`` (every one migrates down) and ``unaffected`` (none
+  migrates; they are censored out).  An empty class is a zero-size block.
 
 For the rate regimes the perturbed first-return matrix has rows
 (up phases, migrated-up phases) and columns (migrated-down phases, down
@@ -29,8 +29,7 @@ import numpy as np
 
 from .core import (FluidModel, PerturbationSpec, censor_zero_phases,
                    validate_perturbation)
-from .errors import (InnerRiccatiDiverged, InvalidPerturbation, NoConvergence,
-                     WrongRegime)
+from .errors import InnerRiccatiDiverged, InvalidPerturbation, NoConvergence
 from .numerics import solve_linear, solve_sylvester
 from .riccati import PsiSolution, newton_riccati
 
@@ -117,73 +116,6 @@ def psi1_generator(model: FluidModel, psi_sol: PsiSolution,
     return solve_sylvester(psi_sol.K, psi_sol.U, rhs)
 
 
-def psi1_rate_unaffected(model: FluidModel, psi_sol: PsiSolution,
-                         c_tilde: np.ndarray) -> np.ndarray:
-    """Derivative of psi for a rate direction vanishing on zero-rate phases
-    (canonical order): the migration elimination with both classes empty."""
-    ct = np.asarray(c_tilde, dtype=float)
-    if np.any(ct[model.i0] != 0.0):
-        raise WrongRegime("rate direction touches zero-rate phases")
-    return _eliminate(model, psi_sol,
-                      PerturbationSpec("rate", ct, "unaffected")).psi1
-
-
-def _k_m1(model, spec, psi_op_om):
-    """eps^{-1} coefficient blocks (op, op) and (op, p) of K(eps): in the
-    perturbed partition the op rows of K(eps) carry 1/(eps Ct_op)."""
-    io_p, io_m = spec.oplus, spec.ominus
-    ct_op = spec.direction[io_p][:, None]
-    psi_cm = psi_op_om / np.abs(spec.direction[io_m])[None, :]
-    k_m1_op_op = model.block(io_p, io_p) / ct_op + psi_cm @ model.block(io_m, io_p)
-    k_m1_op_p = model.block(io_p, model.ip) / ct_op + psi_cm @ model.block(io_m, model.ip)
-    return k_m1_op_op, k_m1_op_p
-
-
-def _u_blocks(model, spec, psi, psi_op_om, psi_op_m):
-    """Blocks eps^{-1} (om, om), (om, m) and eps^0 (m, m), (m, om) of
-    U(eps) = |C-(eps)^{-1}| (A_{--} + A_{-+} Psi(eps)), rows (om, m); the om
-    rows carry 1/(eps |Ct_om|)."""
-    ip, im = model.ip, model.im
-    io_p, io_m = spec.oplus, spec.ominus
-    cm = model.c_minus_abs[:, None]
-    ct_om = np.abs(spec.direction[io_m])[:, None]
-    u_m1_om_om = (model.block(io_m, io_m) + model.block(io_m, io_p) @ psi_op_om) / ct_om
-    u_m1_om_m = (model.block(io_m, im) + model.block(io_m, ip) @ psi
-                 + model.block(io_m, io_p) @ psi_op_m) / ct_om
-    u_0_m_m = (model.block(im, im) + model.block(im, ip) @ psi
-               + model.block(im, io_p) @ psi_op_m) / cm
-    u_0_m_om = (model.block(im, io_m) + model.block(im, io_p) @ psi_op_om) / cm
-    return u_m1_om_om, u_m1_om_m, u_0_m_m, u_0_m_om
-
-
-def _series(model, spec, u_blocks, k_blocks, psi1_p_om, psi1_op_om) -> SeriesBlocks:
-    """SeriesBlocks from the blocks in hand plus the eps^0 (om, om) block of U."""
-    io_m = spec.ominus
-    u_0_om_om = (model.block(io_m, model.ip) @ psi1_p_om
-                 + model.block(io_m, spec.oplus) @ psi1_op_om) \
-        / np.abs(spec.direction[io_m])[:, None]
-    return SeriesBlocks(*u_blocks, u_0_om_om, *k_blocks)
-
-
-def series_blocks(model: FluidModel, spec: PerturbationSpec,
-                  psi_sol: PsiSolution, psi_op_om: np.ndarray,
-                  psi_op_m: np.ndarray, psi1_p_om: np.ndarray,
-                  psi1_op_om: np.ndarray) -> SeriesBlocks:
-    """Materialize the series blocks the general-regime expansion needs.
-
-    The eps^0 blocks follow from collecting coefficients in
-    U(eps) = |C-(eps)^{-1}| (A-block + A_{-.} Psi(eps)) with
-    Psi(eps) = Psi_bar + eps Psi1 + O(eps^2):
-
-        u_0_m_m   = |C-^{-1}| (A_mm + A_mp psi + A_m,op psi_op_m)
-        u_0_m_om  = |C-^{-1}| (A_m,om + A_m,op psi_op_om)
-        u_0_om_om = |Ct_om^{-1}| (A_om,p psi1_p_om + A_om,op psi1_op_om)
-    """
-    return _series(model, spec,
-                   _u_blocks(model, spec, psi_sol.psi, psi_op_om, psi_op_m),
-                   _k_m1(model, spec, psi_op_om), psi1_p_om, psi1_op_om)
-
-
 def _eliminate(model: FluidModel, psi_sol: PsiSolution,
                spec: PerturbationSpec) -> PsiExpansion:
     """Expansion of a rate perturbation, any regime.
@@ -232,19 +164,29 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     except NoConvergence as exc:
         raise InnerRiccatiDiverged(str(exc)) from exc
 
-    # the K-blocks of the eps^{-1} coefficients do not involve psi_op_m
-    k_blocks = k_m1_op_op, k_m1_op_p = _k_m1(model, spec, psi_op_om)
+    # eps^{-1} blocks (op, op) and (op, p) of K(eps): in the perturbed
+    # partition the op rows of K(eps) carry 1/(eps Ct_op); they do not
+    # involve psi_op_m
+    psi_op_om_cm = psi_op_om / ct_om_col
+    k_m1_op_op = model.block(io_p, io_p) / ct_op + psi_op_om_cm @ model.block(io_m, io_p)
+    k_m1_op_p = model.block(io_p, ip) / ct_op + psi_op_om_cm @ model.block(io_m, ip)
     neg_k_inv = _inv(-k_m1_op_op)
 
     # 2. psi_op_m = (-K_m1_op_op)^{-1} (Ct_op^{-1}(A_op,m + A_op,p psi)
     #               + psi_op_om |Ct_om^{-1}| (A_om,m + A_om,p psi))
     psi_op_m = neg_k_inv @ (
         (model.block(io_p, im) + model.block(io_p, ip) @ psi) / ct_op
-        + (psi_op_om / ct_om_col) @ (model.block(io_m, im)
-                                     + model.block(io_m, ip) @ psi))
+        + psi_op_om_cm @ (model.block(io_m, im) + model.block(io_m, ip) @ psi))
 
-    u_blocks = u_m1_om_om, u_m1_om_m, u_0_m_m, u_0_m_om = _u_blocks(
-        model, spec, psi, psi_op_om, psi_op_m)
+    # blocks eps^{-1} (om, om), (om, m) and eps^0 (m, m), (m, om) of
+    # U(eps) = |C-(eps)^{-1}| (A_{--} + A_{-+} Psi(eps)), rows (om, m); the
+    # om rows carry 1/(eps |Ct_om|)
+    u_m1_om_om = (model.block(io_m, io_m) + model.block(io_m, io_p) @ psi_op_om) / ct_om_row
+    u_m1_om_m = (model.block(io_m, im) + model.block(io_m, ip) @ psi
+                 + model.block(io_m, io_p) @ psi_op_m) / ct_om_row
+    u_0_m_m = (model.block(im, im) + model.block(im, ip) @ psi
+               + model.block(im, io_p) @ psi_op_m) / cm_row
+    u_0_m_om = (model.block(im, io_m) + model.block(im, io_p) @ psi_op_om) / cm_row
     neg_u_inv = _inv(-u_m1_om_om)
 
     # 3. psi1_p_om = (C+^{-1}(A_p,om + A_p,op psi_op_om)
@@ -260,7 +202,9 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
         k_m1_op_op, u_m1_om_om,
         -k_m1_op_p @ psi1_p_om - psi_op_m @ u_0_m_om)
 
-    sb = _series(model, spec, u_blocks, k_blocks, psi1_p_om, psi1_op_om)
+    # eps^0 (om, om) block of U(eps), from Psi(eps) = Psi_bar + eps Psi1 + O(eps^2)
+    u_0_om_om = (model.block(io_m, ip) @ psi1_p_om
+                 + model.block(io_m, io_p) @ psi1_op_om) / ct_om_row
 
     # eps^0 blocks of K(eps), including the contribution of psi1_p_om
     # through the om rows of |C-(eps)^{-1}|
@@ -282,7 +226,7 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     ct_p_scale = (ct_p / model.c_plus)[:, None]
     G = -ct_p_scale * ((model.block(ip, io_m) + model.block(ip, io_p) @ psi_op_om) / cp) \
         + (model.block(ip, ip) @ psi1_p_om + model.block(ip, io_p) @ psi1_op_om) / cp \
-        + psi1_p_om @ sb.u_0_om_om + psi @ u_1_m_om
+        + psi1_p_om @ u_0_om_om + psi @ u_1_m_om
 
     # substitute steps 2' and 5 into the eps^1 coefficient of the (p, m)
     # block; the Sylvester operator pair collapses to the censored (K, U)
@@ -313,42 +257,19 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
         aux={"psi_op_om": psi_op_om, "psi_op_m": psi_op_m,
              "psi1_p_om": psi1_p_om, "psi1_op_om": psi1_op_om,
              "psi1_op_m": psi1_op_m, "psi2_p_om": psi2_p_om,
-             "series": sb, "k_hat": k_hat, "u_hat": u_hat})
-
-
-def _require_regime(spec: PerturbationSpec, regime: str) -> None:
-    if spec.kind != "rate" or spec.regime != regime:
-        raise WrongRegime(f"expected {regime} regime, got {spec.kind}/{spec.regime}")
-
-
-def expand_to_plus(model: FluidModel, psi_sol: PsiSolution,
-                   spec: PerturbationSpec) -> PsiExpansion:
-    """Expansion when every zero-rate phase acquires a positive rate."""
-    _require_regime(spec, "to_plus")
-    return _eliminate(model, psi_sol, spec)
-
-
-def expand_to_minus(model: FluidModel, psi_sol: PsiSolution,
-                    spec: PerturbationSpec) -> PsiExpansion:
-    """Expansion when every zero-rate phase acquires a negative rate.
-
-    The zeroth order is [0  psi]: in the limit the fluid can only return
-    to its initial level through an original down phase.
-    """
-    _require_regime(spec, "to_minus")
-    return _eliminate(model, psi_sol, spec)
-
-
-def expand_general(model: FluidModel, psi_sol: PsiSolution,
-                   spec: PerturbationSpec) -> PsiExpansion:
-    """Expansion when the zero-rate phases split between the two classes."""
-    _require_regime(spec, "general")
-    return _eliminate(model, psi_sol, spec)
+             "series": SeriesBlocks(u_m1_om_om, u_m1_om_m, u_0_m_m, u_0_m_om,
+                                    u_0_om_om, k_m1_op_op, k_m1_op_p),
+             "k_hat": k_hat, "u_hat": u_hat})
 
 
 def expand(model: FluidModel, psi_sol: PsiSolution,
            spec: PerturbationSpec) -> PsiExpansion:
-    """Dispatch to the expansion route matching the perturbation kind."""
+    """First-order expansion of psi along ``spec``, any kind and regime.
+
+    The result's ``psi1`` is the first-order matrix and, for a rate
+    direction, ``aux["series"]`` the Laurent-series blocks of U(eps) and
+    K(eps).
+    """
     if spec.kind == "rate":
         return _eliminate(model, psi_sol, spec)
     return PsiExpansion(
@@ -362,13 +283,15 @@ def load_perturbation(path, model: FluidModel) -> PerturbationSpec:
     """Load a perturbation file {"kind": ..., "direction": ...}.
 
     The direction is given in the model file's phase order: a full matrix
-    for generator kind, the diagonal as a flat list for rate kind.
+    for generator kind, the diagonal as a flat list for rate kind.  A file
+    that is not such an object, an unknown kind and a direction that is not
+    a finite array of numbers are an ``InvalidPerturbation``.
     """
     with open(path) as fh:
         doc = json.load(fh)
-    kind = doc.get("kind")
-    if kind not in ("generator", "rate"):
-        raise WrongRegime(f"unknown perturbation kind {kind!r}")
-    if "direction" not in doc:
-        raise InvalidPerturbation('perturbation file must contain "direction"')
-    return validate_perturbation(model, kind, doc["direction"])
+    if not isinstance(doc, dict) or "direction" not in doc:
+        raise InvalidPerturbation('perturbation file must be an object with "direction"')
+    try:
+        return validate_perturbation(model, doc.get("kind"), doc["direction"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidPerturbation(f"direction is not a finite array of numbers: {exc}") from exc

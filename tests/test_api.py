@@ -13,11 +13,10 @@ PUBLIC_NAMES = [
     "PsiSolution", "SeriesBlocks", "StationaryLaw", "build_UK",
     "calibrate_rminus", "case_model", "censor_zero_phases", "density1_at",
     "density_at", "error_norms", "estimate_density", "estimate_psi",
-    "expand", "expand_general", "expand_to_minus", "expand_to_plus",
-    "first_order_law", "load_model", "load_perturbation", "mean_drift",
-    "psi1_generator", "psi1_rate_unaffected", "run_case", "series_blocks",
-    "solve_psi", "solve_psi_at", "stationary_law", "stationary_phase_dist",
-    "validate_model", "validate_perturbation", "zero_mass",
+    "expand", "first_order_law", "load_model", "load_perturbation",
+    "mean_drift", "psi1_generator", "run_case", "solve_psi", "solve_psi_at",
+    "stationary_law", "stationary_phase_dist", "validate_model",
+    "validate_perturbation", "zero_mass",
     "__version__",
 ]
 

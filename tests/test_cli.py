@@ -364,3 +364,80 @@ class TestSimulate:
         path.write_text(json.dumps({"A": [[0.0]], "c": [-1.0]}))
         assert main(["simulate", str(path), "--replications", "10"]) == 1
         assert error_report(capsys)["error"] == "EmptySide"
+
+
+TWO_PHASE = '{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [1.0, -2.0]}'
+UP_ONLY = '{"A": [[0.0]], "c": [1.0]}'
+NAN_RATE = '{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [NaN, -2.0]}'
+GENERATOR = '{"kind": "generator", "direction": [[-2.0, 2.0], [0.0, 0.0]]}'
+RATE = '{"kind": "rate", "direction": [0.1, 0.0]}'
+
+
+def malformed(name, argv, code, error, model=TWO_PHASE, pert=GENERATOR):
+    """One row of the contract table: ``argv`` names the model file "{m}"
+    and the perturbation file "{p}", written from ``model`` and ``pert``."""
+    return pytest.param(argv, model, pert, code, error, id=name)
+
+
+MALFORMED_INPUTS = [
+    # each of these ended in a traceback or, for the last two, in another code
+    malformed("model-number", ["validate", "{m}"], 1, "DimensionMismatch", model="5"),
+    malformed("model-null", ["psi", "{m}"], 1, "DimensionMismatch", model="null"),
+    malformed("model-1d-A", ["psi", "{m}"], 1, "DimensionMismatch",
+              model='{"A": [-1.0, 1.0], "c": [1.0, -2.0]}'),
+    malformed("model-scalar-c", ["psi", "{m}"], 1, "DimensionMismatch",
+              model='{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": 5}'),
+    malformed("nan-rate-validate", ["validate", "{m}"], 1, "DimensionMismatch", model=NAN_RATE),
+    malformed("nan-rate-psi", ["psi", "{m}"], 1, "DimensionMismatch", model=NAN_RATE),
+    malformed("nan-rate-simulate", ["simulate", "{m}", "--replications", "5"], 1,
+              "DimensionMismatch", model=NAN_RATE),
+    malformed("pert-list", ["perturb", "{m}", "{p}"], 1, "InvalidPerturbation", pert="[1, 2]"),
+    malformed("pert-list-density", ["density", "{m}", "--pert", "{p}", "--x", "0:1:3"], 1,
+              "InvalidPerturbation", pert="[1, 2]"),
+    malformed("pert-string", ["perturb", "{m}", "{p}"], 1, "InvalidPerturbation", pert='"rate"'),
+    malformed("pert-ragged", ["perturb", "{m}", "{p}"], 1, "InvalidPerturbation",
+              pert='{"kind": "generator", "direction": [[-1.0, 1.0], [0.0]]}'),
+    malformed("pert-flat-generator", ["perturb", "{m}", "{p}"], 1, "InvalidPerturbation",
+              pert='{"kind": "generator", "direction": [0.1, 0.0]}'),
+    malformed("pert-non-number", ["perturb", "{m}", "{p}"], 1, "InvalidPerturbation",
+              pert='{"kind": "rate", "direction": [0.1, "x"]}'),
+    malformed("pert-nan", ["perturb", "{m}", "{p}"], 1, "InvalidPerturbation",
+              pert='{"kind": "rate", "direction": [NaN, 0.0]}'),
+    malformed("max-newton-negative", ["psi", "{m}", "--max-newton", "-1"], 2, "Usage"),
+    malformed("pert-unknown-kind", ["perturb", "{m}", "{p}"], 1, "InvalidPerturbation",
+              pert='{"kind": "foo"}'),
+    # these already gave one JSON line
+    malformed("model-list", ["validate", "{m}"], 1, "DimensionMismatch", model="[1, 2]"),
+    malformed("direction-wrong-shape", ["perturb", "{m}", "{p}"], 1, "DimensionMismatch",
+              pert='{"kind": "rate", "direction": [0.1, 0.0, 0.3]}'),
+    malformed("generator-eps-negative", ["perturb", "{m}", "{p}", "--eps-check", "-1"], 1,
+              "InvalidEpsilon"),
+    malformed("generator-eps-huge", ["perturb", "{m}", "{p}", "--eps-check", "1e300"], 1,
+              "SingularSystem"),
+    malformed("rate-eps-nan", ["perturb", "{m}", "{p}", "--eps-check", "nan"], 2, "Usage",
+              pert=RATE),
+    malformed("density-grid-nan", ["density", "{m}", "--x", "0:nan:3"], 2, "Usage"),
+    malformed("eps-grid-one-point", ["case", "--id", "1a", "--eps-grid", "1e-4:1e-2:1"], 2,
+              "Usage"),
+    malformed("replications-zero", ["simulate", "{m}", "--replications", "0"], 2, "Usage"),
+    malformed("max-time-nan", ["simulate", "{m}", "--max-time", "nan"], 2, "Usage"),
+    malformed("unknown-case", ["case", "--id", "bogus"], 2, "UnknownCase"),
+    malformed("up-only-psi", ["psi", "{m}"], 1, "EmptySide", model=UP_ONLY),
+    malformed("up-only-density", ["density", "{m}", "--x", "0:1:3"], 1, "EmptySide",
+              model=UP_ONLY),
+    malformed("up-only-simulate", ["simulate", "{m}", "--replications", "5"], 1, "EmptySide",
+              model=UP_ONLY),
+]
+
+
+@pytest.mark.parametrize("argv,model,pert,code,error", MALFORMED_INPUTS)
+def test_malformed_input_is_one_json_line(tmp_path, capsys, argv, model, pert, code, error):
+    files = {"{m}": tmp_path / "m.json", "{p}": tmp_path / "p.json"}
+    files["{m}"].write_text(model)
+    files["{p}"].write_text(pert)
+    assert main([str(files.get(a, a)) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mmfq import (censor_zero_phases, expand, expand_general, expand_to_minus,
-                  expand_to_plus, psi1_generator, psi1_rate_unaffected,
-                  series_blocks, solve_psi, solve_psi_at, validate_model,
-                  validate_perturbation)
-from mmfq.errors import WrongRegime
+from mmfq import (censor_zero_phases, expand, psi1_generator, solve_psi,
+                  solve_psi_at, validate_model, validate_perturbation)
 from mmfq.numerics import stable_spectrum, sylvester_residual
 from mmfq.perturb import qtilde_blocks
 from mmfq.bench import error_norms
@@ -77,22 +74,16 @@ class TestGeneratorDirection:
 class TestRateUnaffected:
     def test_zero_direction(self, two_phase):
         sol = solve_psi(two_phase)
-        out = psi1_rate_unaffected(two_phase, sol, np.zeros(2))
+        spec = validate_perturbation(two_phase, "rate", np.zeros(2))
+        out = expand(two_phase, sol, spec).psi1
         assert np.array_equal(out, np.zeros((1, 1)))
 
     def test_two_phase_stays_certain(self, two_phase):
         sol = solve_psi(two_phase)
-        out = psi1_rate_unaffected(two_phase, sol, np.array([1.0, 0.0]))
+        spec = validate_perturbation(two_phase, "rate", np.array([1.0, 0.0]))
+        assert spec.regime == "unaffected"
+        out = expand(two_phase, sol, spec).psi1
         assert np.abs(out).max() < 1e-13
-
-    def test_wrong_regime_guard(self):
-        rng = np.random.default_rng(32)
-        model = rate_model_with_zeros(rng)
-        sol = solve_psi(model)
-        ct = np.zeros(model.n)
-        ct[model.i0[0]] = 1.0
-        with pytest.raises(WrongRegime):
-            psi1_rate_unaffected(model, sol, ct)
 
     def test_finite_difference(self):
         rng = np.random.default_rng(33)
@@ -130,27 +121,20 @@ class TestToPlus:
         ct = np.zeros(model.n)
         ct[model.perm[model.i0]] = rng.uniform(0.4, 1.2, model.n_zero)
         spec = validate_perturbation(model, "rate", ct)
+        assert spec.regime == "to_plus"
         return model, spec
 
     def test_psi_bar_rows_sum_to_one(self):
         model, spec = self.make()
         sol = solve_psi(model)
-        exp = expand_to_plus(model, sol, spec)
+        exp = expand(model, sol, spec)
         assert np.abs(exp.psi_bar.sum(axis=1) - 1.0).max() < 1e-10
         assert exp.psi_bar.shape == (model.n_plus + model.n_zero, model.n_minus)
-
-    def test_wrong_regime(self):
-        model, spec = self.make()
-        sol = solve_psi(model)
-        with pytest.raises(WrongRegime):
-            expand_to_minus(model, sol, spec)
-        with pytest.raises(WrongRegime):
-            expand_general(model, sol, spec)
 
     def test_finite_difference(self):
         model, spec = self.make()
         sol = solve_psi(model)
-        fd_ratio_check(model, spec, expand_to_plus(model, sol, spec))
+        fd_ratio_check(model, spec, expand(model, sol, spec))
 
 
 class TestToMinus:
@@ -160,12 +144,13 @@ class TestToMinus:
         ct = np.zeros(model.n)
         ct[model.perm[model.i0]] = -rng.uniform(0.4, 1.2, model.n_zero)
         spec = validate_perturbation(model, "rate", ct)
+        assert spec.regime == "to_minus"
         return model, spec
 
     def test_left_block_is_zero(self):
         model, spec = self.make()
         sol = solve_psi(model)
-        exp = expand_to_minus(model, sol, spec)
+        exp = expand(model, sol, spec)
         assert np.array_equal(exp.psi_bar[:, :model.n_zero],
                               np.zeros((model.n_plus, model.n_zero)))
         assert np.abs(exp.psi_bar.sum(axis=1) - 1.0).max() < 1e-10
@@ -173,7 +158,7 @@ class TestToMinus:
     def test_finite_difference(self):
         model, spec = self.make()
         sol = solve_psi(model)
-        fd_ratio_check(model, spec, expand_to_minus(model, sol, spec))
+        fd_ratio_check(model, spec, expand(model, sol, spec))
 
 
 class TestGeneral:
@@ -192,7 +177,7 @@ class TestGeneral:
     def test_psi_bar_structure(self):
         model, spec = self.make()
         sol = solve_psi(model)
-        exp = expand_general(model, sol, spec)
+        exp = expand(model, sol, spec)
         n_om = len(spec.ominus)
         assert np.array_equal(exp.psi_bar[:model.n_plus, :n_om],
                               np.zeros((model.n_plus, n_om)))
@@ -203,7 +188,7 @@ class TestGeneral:
     def test_operator_collapses_to_base_K_U(self):
         model, spec = self.make(seed=37)
         sol = solve_psi(model)
-        exp = expand_general(model, sol, spec)
+        exp = expand(model, sol, spec)
         assert np.abs(exp.aux["k_hat"] - sol.K).max() < 1e-9
         assert np.abs(exp.aux["u_hat"] - sol.U).max() < 1e-9
 
@@ -211,14 +196,14 @@ class TestGeneral:
     def test_finite_difference(self, seed):
         model, spec = self.make(seed=seed)
         sol = solve_psi(model)
-        fd_ratio_check(model, spec, expand_general(model, sol, spec))
+        fd_ratio_check(model, spec, expand(model, sol, spec))
 
     def test_zeroth_order_consistency(self):
         # the direct solve converges to psi_bar entrywise as eps -> 0
         from dataclasses import replace
         model, spec = self.make(seed=42)
         sol = solve_psi(model)
-        exp = expand_general(model, sol, spec)
+        exp = expand(model, sol, spec)
         sol_eps, pmodel = solve_psi_at(model, spec, 1e-6)
         norms = error_norms(model, sol_eps, pmodel,
                             replace(exp, psi1=np.zeros_like(exp.psi1)), 1e-6)
@@ -236,7 +221,7 @@ class TestGeneral:
         spec = validate_perturbation(model, "rate", ct)
         assert spec.regime == "general"
         sol = solve_psi(model)
-        fd_ratio_check(model, spec, expand_general(model, sol, spec))
+        fd_ratio_check(model, spec, expand(model, sol, spec))
 
 
 class TestDispatch:
@@ -273,7 +258,7 @@ class TestBDIdentities:
     def test_blocks_equal_zero_block_inverse(self, seed):
         model, spec = TestGeneral().make(seed=seed)
         sol = solve_psi(model)
-        exp = expand_general(model, sol, spec)
+        exp = expand(model, sol, spec)
         assert bd_identity_gap(model, spec, exp) < 1e-9
 
 
@@ -281,7 +266,7 @@ class TestSeriesBlocks:
     def test_closed_forms_and_stability(self):
         model, spec = TestGeneral().make(seed=54)
         sol = solve_psi(model)
-        exp = expand_general(model, sol, spec)
+        exp = expand(model, sol, spec)
         sb = exp.aux["series"]
         io_p, io_m = spec.oplus, spec.ominus
         ct_op = spec.direction[io_p][:, None]
@@ -300,7 +285,7 @@ class TestSeriesBlocks:
         # U(eps) blocks from direct solves extrapolate to the series value
         model, spec = TestGeneral().make(seed=55)
         sol = solve_psi(model)
-        exp = expand_general(model, sol, spec)
+        exp = expand(model, sol, spec)
         sb = exp.aux["series"]
         vals = {}
         for eps in (1e-3, 1e-4):
@@ -328,7 +313,7 @@ class TestOneSidedClosedForms:
     def test_to_plus_up_rows_solve_closed_form(self, which):
         model, spec = _one_sided_cases()["to_plus"][which]
         sol = solve_psi(model)
-        exp = expand_to_plus(model, sol, spec)
+        exp = expand(model, sol, spec)
         ip, io, im = model.ip, model.i0, model.im
         psi, U, K = sol.psi, sol.U, sol.K
         cp = model.c_plus[:, None]
@@ -347,7 +332,7 @@ class TestOneSidedClosedForms:
     def test_to_minus_migrating_columns_closed_form(self, which):
         model, spec = _one_sided_cases()["to_minus"][which]
         sol = solve_psi(model)
-        exp = expand_to_minus(model, sol, spec)
+        exp = expand(model, sol, spec)
         ip, io, im = model.ip, model.i0, model.im
         psi = sol.psi
         N = np.linalg.inv(-model.block(io, io))
