@@ -2,10 +2,12 @@
 
 One verb per module: validate | psi | perturb | density | case | simulate.
 Exit codes: 0 success, 1 domain error, 2 usage or I/O error.  Domain
-errors are reported as one-line JSON objects on stderr.  Every output
-file is accompanied by a ``<name>.manifest.json`` with the command line,
-resolved options and solver diagnostics; JSON outputs embed the manifest
-instead.
+errors are reported as one-line JSON objects on stderr.  Each writing
+verb returns ``(output, inputs, options, diagnostics)``, a CSV body or a
+JSON payload, and `_write_output` builds the manifest (command line,
+inputs, resolved options, version, wall time, solver diagnostics): a JSON
+payload embeds it, a CSV file gets a sibling ``<name>.manifest.json`` and
+a CSV on stdout goes without one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,37 +34,23 @@ def _f3(x: float) -> str:
     return f"{float(x):.3g}"
 
 
-@dataclass
-class RunManifest:
-    command: list[str]
-    inputs: list[str]
-    options: dict
-    version: str = __version__
-    wall_time_s: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
-
-
-def _write_output(path: str | None, body: str, manifest: RunManifest,
-                  as_json: bool = False, payload: dict | None = None) -> None:
-    """Write body (CSV) or payload (JSON with embedded manifest)."""
-    if as_json:
-        doc = dict(payload or {})
-        doc["manifest"] = asdict(manifest)
-        text = json.dumps(doc, indent=2)
-        if path:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+def _write_output(args, t0: float, output: str | dict, inputs: list[str],
+                  options: dict, diagnostics: dict) -> None:
+    """Write a verb's CSV body or JSON payload to ``args.out`` or stdout,
+    with the manifest of the run timed from ``t0``."""
+    manifest = {"command": args.argv, "inputs": inputs, "options": options,
+                "version": __version__, "wall_time_s": time.perf_counter() - t0,
+                "diagnostics": diagnostics}
+    text = output if isinstance(output, str) else \
+        json.dumps({**output, "manifest": manifest}, indent=2) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
         return
-    if path:
-        with open(path, "w") as fh:
-            fh.write(body)
-        with open(path + ".manifest.json", "w") as fh:
-            json.dump(asdict(manifest), fh, indent=2)
-            fh.write("\n")
-    else:
-        sys.stdout.write(body)
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    if isinstance(output, str):
+        with open(args.out + ".manifest.json", "w") as fh:
+            fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def _grid(spec: str, log: bool) -> np.ndarray:
@@ -81,7 +69,7 @@ def _grid(spec: str, log: bool) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> None:
     model = load_model(args.model)
     xi = model.unpermute(stationary_phase_dist(model))
     drift = mean_drift(model)
@@ -98,7 +86,6 @@ def cmd_validate(args) -> int:
         "recurrent": drift < 0,
     }
     print(json.dumps(report, indent=2))
-    return 0
 
 
 def _matrix_csv(sections) -> str:
@@ -110,34 +97,26 @@ def _matrix_csv(sections) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_psi(args) -> int:
-    t0 = time.perf_counter()
+def cmd_psi(args):
     model = load_model(args.model)
     sol = solve_psi(model, tol=args.tol, max_newton=args.max_newton)
     labels = model.canonical_labels()
     up = [labels[i] for i in model.ip]
     down = [labels[i] for i in model.im]
-    manifest = RunManifest(
-        command=args.argv, inputs=[args.model],
-        options={"tol": args.tol, "max_newton": args.max_newton},
-        wall_time_s=time.perf_counter() - t0,
-        diagnostics={"iterations": sol.iterations, "residual": sol.residual,
-                     "row_sum_defect": float(np.abs(sol.psi.sum(axis=1) - 1).max())})
     if args.json:
-        payload = {"psi": sol.psi.tolist(), "U": sol.U.tolist(), "K": sol.K.tolist(),
-                   "up_phases": up, "down_phases": down,
-                   "iterations": sol.iterations, "residual": sol.residual}
-        _write_output(args.out, "", manifest, as_json=True, payload=payload)
+        output = {"psi": sol.psi.tolist(), "U": sol.U.tolist(), "K": sol.K.tolist(),
+                  "up_phases": up, "down_phases": down,
+                  "iterations": sol.iterations, "residual": sol.residual}
     else:
-        body = _matrix_csv([("psi", sol.psi, up, down),
-                            ("U", sol.U, down, down),
-                            ("K", sol.K, up, up)])
-        _write_output(args.out, body, manifest)
-    return 0
+        output = _matrix_csv([("psi", sol.psi, up, down),
+                              ("U", sol.U, down, down),
+                              ("K", sol.K, up, up)])
+    return output, [args.model], {"tol": args.tol, "max_newton": args.max_newton}, {
+        "iterations": sol.iterations, "residual": sol.residual,
+        "row_sum_defect": float(np.abs(sol.psi.sum(axis=1) - 1).max())}
 
 
-def cmd_perturb(args) -> int:
-    t0 = time.perf_counter()
+def cmd_perturb(args):
     # a NaN or infinite eps would reach the perturbed generator's validation
     if not np.isfinite(args.eps_check or []).all():
         raise argparse.ArgumentTypeError(f"bad eps-check {args.eps_check!r}, expected finite eps")
@@ -161,17 +140,12 @@ def cmd_perturb(args) -> int:
                              if v is not None}
     if checks:
         payload["eps_check"] = checks
-    manifest = RunManifest(
-        command=args.argv, inputs=[args.model, args.pert],
-        options={"tol": args.tol, "eps_check": args.eps_check or []},
-        wall_time_s=time.perf_counter() - t0,
-        diagnostics={"iterations": sol.iterations, "residual": sol.residual})
-    _write_output(args.out, "", manifest, as_json=True, payload=payload)
-    return 0
+    options = {"tol": args.tol, "eps_check": args.eps_check or []}
+    return payload, [args.model, args.pert], options, {
+        "iterations": sol.iterations, "residual": sol.residual}
 
 
-def cmd_density(args) -> int:
-    t0 = time.perf_counter()
+def cmd_density(args):
     model = load_model(args.model)
     sol = solve_psi(model, tol=args.tol)
     law = density.stationary_law(model, sol)
@@ -192,19 +166,12 @@ def cmd_density(args) -> int:
             row += [_f17(v) for v in
                     density.density1_at(fol, law, model, sol.psi, psi1, x)]
         lines.append(",".join(row))
-    body = "\n".join(lines) + "\n"
-    manifest = RunManifest(
-        command=args.argv, inputs=[p for p in (args.model, args.pert) if p],
-        options={"x": args.x, "tol": args.tol},
-        wall_time_s=time.perf_counter() - t0,
-        diagnostics={"zero_mass": density.zero_mass(law, model).tolist(),
-                     "drift": mean_drift(model)})
-    _write_output(args.out, body, manifest)
-    return 0
+    inputs = [p for p in (args.model, args.pert) if p]
+    return "\n".join(lines) + "\n", inputs, {"x": args.x, "tol": args.tol}, {
+        "zero_mass": density.zero_mass(law, model).tolist(), "drift": mean_drift(model)}
 
 
-def cmd_case(args) -> int:
-    t0 = time.perf_counter()
+def cmd_case(args):
     grid = _grid(args.eps_grid, log=True) if args.eps_grid else None
     result = bench.run_case(args.id, grid)
     lines = ["case_id,eps,e_plus,e_oplus,e_inf,e_minus,e_ominus,slope,r_squared"]
@@ -241,18 +208,12 @@ def cmd_case(args) -> int:
             summary.append(f"  {key}({_f3(eps_ref)}) = {_f3(val)} {ref_text} "
                            f"{'PASS' if ok else 'FAIL'} (2% relative)")
     print("\n".join(summary))
-    manifest = RunManifest(
-        command=args.argv, inputs=[],
-        options={"id": args.id, "eps_grid": args.eps_grid},
-        wall_time_s=time.perf_counter() - t0,
-        diagnostics={"slope": result.slope, "r_squared": result.r_squared,
-                     "r_minus": result.r_minus, "drift": result.drift})
-    _write_output(args.out, body, manifest)
-    return 0
+    return body, [], {"id": args.id, "eps_grid": args.eps_grid}, {
+        "slope": result.slope, "r_squared": result.r_squared,
+        "r_minus": result.r_minus, "drift": result.drift}
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args):
     model = load_model(args.model)
     try:
         cfg = simulate.SimConfig(replications=args.replications, seed=args.seed,
@@ -267,15 +228,9 @@ def cmd_simulate(args) -> int:
     for i, r in enumerate(up):
         for j, c in enumerate(down):
             lines.append(f"{r},{c},{_f17(est.estimate[i, j])},{_f17(est.stderr[i, j])}")
-    body = "\n".join(lines) + "\n"
-    manifest = RunManifest(
-        command=args.argv, inputs=[args.model],
-        options={"replications": args.replications, "seed": args.seed,
-                 "max_time": args.max_time},
-        wall_time_s=time.perf_counter() - t0,
-        diagnostics={"censored_fraction": est.censored_fraction})
-    _write_output(args.out, body, manifest)
-    return 0
+    options = {"replications": args.replications, "seed": args.seed, "max_time": args.max_time}
+    return "\n".join(lines) + "\n", [args.model], options, {
+        "censored_fraction": est.censored_fraction}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else list(argv)
+    t0 = time.perf_counter()
     try:
         # psi, perturb and density take a tol; NaN or inf would skip Newton
         if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
@@ -339,7 +295,10 @@ def main(argv=None) -> int:
         if getattr(args, "max_newton", 0) < 0:
             raise argparse.ArgumentTypeError(
                 f"bad max-newton {args.max_newton!r}, expected max_newton >= 0")
-        return args.func(args)
+        result = args.func(args)
+        if result is not None:
+            _write_output(args, t0, *result)
+        return 0
     except UnknownCase as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return 2

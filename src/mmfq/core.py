@@ -136,7 +136,11 @@ def validate_model(A, c, labels=None) -> FluidModel:
         if len(labels) != n:
             raise DimensionMismatch(f"{len(labels)} labels for {n} phases")
 
-    tol = ROWSUM_RTOL * _inf_norm(A)
+    with np.errstate(over="ignore"):
+        norm = _inf_norm(A)
+    if not np.isfinite(norm):
+        raise NotAGenerator("inf-norm of A overflows")
+    tol = ROWSUM_RTOL * norm
     off = A.copy()
     np.fill_diagonal(off, 0.0)
     if off.min(initial=0.0) < -tol:
@@ -213,7 +217,11 @@ def validate_perturbation(model: FluidModel, kind: str, direction) -> Perturbati
         if D.shape != model.A.shape:
             raise DimensionMismatch(f"direction shape {D.shape}, expected {model.A.shape}")
         D = D.take(model.perm, 0).take(model.perm, 1)
-        tol = ROWSUM_RTOL * max(_inf_norm(D), 1.0)
+        with np.errstate(over="ignore"):
+            norm = _inf_norm(D)
+        if not np.isfinite(norm):
+            raise InvalidPerturbation("inf-norm of the generator direction overflows")
+        tol = ROWSUM_RTOL * max(norm, 1.0)
         if np.abs(D.sum(axis=1)).max(initial=0.0) > tol:
             raise InvalidPerturbation("generator direction rows do not sum to zero")
         off_zero = (model.A <= 0.0) & ~np.eye(model.n, dtype=bool)

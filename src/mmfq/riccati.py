@@ -195,6 +195,9 @@ def perturbed_model(model: FluidModel, spec: PerturbationSpec,
         A_eps = model.A + eps * spec.direction
         c_eps = model.c
     else:
+        # zero-rate phases only leave their class, as the expansion assumes, for eps > 0
+        if spec.regime != "unaffected" and not eps > 0:
+            raise InvalidEpsilon(f"eps={eps} must be positive to move zero-rate phases")
         A_eps = model.A
         c_eps = model.c + eps * spec.direction
         signs_keep = (np.sign(c_eps[model.ip]) == 1).all() and \

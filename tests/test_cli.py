@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mmfq import __version__
 from mmfq.cli import main
+from mmfq.riccati import DEFAULT_MAX_NEWTON, DEFAULT_TOL
 
 
 @pytest.fixture
@@ -371,6 +373,9 @@ UP_ONLY = '{"A": [[0.0]], "c": [1.0]}'
 NAN_RATE = '{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [NaN, -2.0]}'
 GENERATOR = '{"kind": "generator", "direction": [[-2.0, 2.0], [0.0, 0.0]]}'
 RATE = '{"kind": "rate", "direction": [0.1, 0.0]}'
+# inf-norm 2e308 overflows: numpy warned on stderr, and the row-sum tolerance was infinite
+OVERFLOW = "[[-1e308, 1e308], [1e308, -1e308]]"
+QUICK_START = '{"A": [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]], "c": [1.0, 0.0, -1.5]}'
 
 
 def malformed(name, argv, code, error, model=TWO_PHASE, pert=GENERATOR):
@@ -406,6 +411,20 @@ MALFORMED_INPUTS = [
     malformed("max-newton-negative", ["psi", "{m}", "--max-newton", "-1"], 2, "Usage"),
     malformed("pert-unknown-kind", ["perturb", "{m}", "{p}"], 1, "InvalidPerturbation",
               pert='{"kind": "foo"}'),
+    # these printed a numpy overflow warning first, then SingularSystem or exit 0
+    malformed("overflow-validate", ["validate", "{m}"], 1, "NotAGenerator",
+              model=f'{{"A": {OVERFLOW}, "c": [1.0, -2.0]}}'),
+    malformed("overflow-psi", ["psi", "{m}"], 1, "NotAGenerator",
+              model=f'{{"A": {OVERFLOW}, "c": [1.0, -2.0]}}'),
+    malformed("overflow-direction", ["perturb", "{m}", "{p}"], 1, "InvalidPerturbation",
+              pert=f'{{"kind": "generator", "direction": {OVERFLOW}}}'),
+    # these reported ShapeMismatch: the perturbed partition no longer matched
+    malformed("rate-eps-zero", ["perturb", "{m}", "{p}", "--eps-check", "0"], 1,
+              "InvalidEpsilon", model=QUICK_START,
+              pert='{"kind": "rate", "direction": [0.0, 0.8, 0.0]}'),
+    malformed("rate-eps-negative", ["perturb", "{m}", "{p}", "--eps-check", "-0.1"], 1,
+              "InvalidEpsilon", model=QUICK_START,
+              pert='{"kind": "rate", "direction": [0.0, 0.8, 0.0]}'),
     # these already gave one JSON line
     malformed("model-list", ["validate", "{m}"], 1, "DimensionMismatch", model="[1, 2]"),
     malformed("direction-wrong-shape", ["perturb", "{m}", "{p}"], 1, "DimensionMismatch",
@@ -441,3 +460,69 @@ def test_malformed_input_is_one_json_line(tmp_path, capsys, argv, model, pert, c
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+
+
+MANIFEST_KEYS = ["command", "inputs", "options", "version", "wall_time_s", "diagnostics"]
+PSI_OPTIONS = {"tol": DEFAULT_TOL, "max_newton": DEFAULT_MAX_NEWTON}
+SOLVE_DIAGNOSTICS = {"iterations", "residual"}
+
+
+def output_mode(name, argv, inputs, options, diagnostics):
+    """One row of the manifest contract: ``argv`` names the model file
+    "{m}", the perturbation file "{p}" and the output file "{o}"."""
+    return pytest.param(argv, inputs, options, diagnostics, id=name)
+
+
+OUTPUT_MODES = [
+    output_mode("psi-csv-file", ["psi", "{m}", "--out", "{o}"], ["{m}"], PSI_OPTIONS,
+                SOLVE_DIAGNOSTICS | {"row_sum_defect"}),
+    output_mode("psi-csv-stdout", ["psi", "{m}"], None, None, None),
+    output_mode("psi-json-file", ["psi", "{m}", "--json", "--out", "{o}"], ["{m}"],
+                PSI_OPTIONS, SOLVE_DIAGNOSTICS | {"row_sum_defect"}),
+    output_mode("psi-json-stdout", ["psi", "{m}", "--json", "--max-newton", "7"], ["{m}"],
+                {"tol": DEFAULT_TOL, "max_newton": 7}, SOLVE_DIAGNOSTICS | {"row_sum_defect"}),
+    output_mode("perturb-file", ["perturb", "{m}", "{p}", "--out", "{o}"], ["{m}", "{p}"],
+                {"tol": DEFAULT_TOL, "eps_check": []}, SOLVE_DIAGNOSTICS),
+    output_mode("perturb-stdout", ["perturb", "{m}", "{p}", "--eps-check", "1e-3"],
+                ["{m}", "{p}"], {"tol": DEFAULT_TOL, "eps_check": [1e-3]}, SOLVE_DIAGNOSTICS),
+    output_mode("density-file", ["density", "{m}", "--pert", "{p}", "--x", "0:1:3",
+                                 "--out", "{o}"], ["{m}", "{p}"],
+                {"x": "0:1:3", "tol": DEFAULT_TOL}, {"zero_mass", "drift"}),
+    output_mode("case-file", ["case", "--id", "1a", "--eps-grid", "1e-3:1e-2:2",
+                              "--out", "{o}"], [], {"id": "1a", "eps_grid": "1e-3:1e-2:2"},
+                {"slope", "r_squared", "r_minus", "drift"}),
+    output_mode("simulate-file", ["simulate", "{m}", "--replications", "20", "--seed", "3",
+                                  "--out", "{o}"], ["{m}"],
+                {"replications": 20, "seed": 3, "max_time": 1e4}, {"censored_fraction"}),
+]
+
+
+@pytest.mark.parametrize("argv,inputs,options,diagnostics", OUTPUT_MODES)
+def test_manifest_contract(tmp_path, capsys, argv, inputs, options, diagnostics):
+    files = {"{m}": tmp_path / "m.json", "{p}": tmp_path / "p.json", "{o}": tmp_path / "out"}
+    files["{m}"].write_text(TWO_PHASE)
+    files["{p}"].write_text(GENERATOR)
+    argv = [str(files.get(a, a)) for a in argv]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    to_file = "--out" in argv
+    as_json = "--json" in argv or argv[0] == "perturb"
+    # a sibling manifest goes with a CSV file, and with nothing else
+    sibling = tmp_path / "out.manifest.json"
+    assert sorted(tmp_path.glob("*manifest*")) == ([sibling] if to_file and not as_json else [])
+    if as_json:
+        text = files["{o}"].read_text() if to_file else stdout
+        manifest = json.loads(text)["manifest"]
+    elif to_file:
+        manifest = json.loads(sibling.read_text())
+    else:
+        # a CSV on stdout carries no manifest
+        assert stdout.startswith("matrix,row,col,value\n") and "manifest" not in stdout
+        return
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == argv
+    assert manifest["inputs"] == [str(files[k]) for k in inputs]
+    assert manifest["options"] == options
+    assert manifest["version"] == __version__
+    assert manifest["wall_time_s"] >= 0.0
+    assert set(manifest["diagnostics"]) == diagnostics

@@ -233,3 +233,10 @@ class TestSolvePsiAt:
         spec = validate_perturbation(model, "rate", [-1.0, 0.0])
         with pytest.raises(InvalidEpsilon):
             solve_psi_at(model, spec, 2.0)
+
+    def test_eps_zero_moves_no_zero_rate_phase(self, case_1a):
+        # the perturbed partition would not match the expansion's migrated phases
+        model, spec = case_1a
+        for eps in (0.0, -0.1):
+            with pytest.raises(InvalidEpsilon, match=f"eps={eps}"):
+                solve_psi_at(model, spec, eps)
