@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -233,9 +234,21 @@ def cmd_simulate(args):
         "censored_fraction": est.censored_fraction}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors reach ``main``'s Usage report and
+    that reads a negative number in scientific notation as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes "-1e-3" for an unknown option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        raise argparse.ArgumentTypeError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="mmfq",
-                                description="Markov-modulated fluid queue toolkit")
+    p = _Parser(prog="mmfq", description="Markov-modulated fluid queue toolkit")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -284,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.argv = sys.argv[1:] if argv is None else list(argv)
     t0 = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        args.argv = sys.argv[1:] if argv is None else list(argv)
         # psi, perturb and density take a tol; NaN or inf would skip Newton
         if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
             raise argparse.ArgumentTypeError(f"bad tol {args.tol!r}, expected 0 <= tol < inf")

@@ -95,14 +95,14 @@ def _propagate(v: np.ndarray, exp_G: ExpEvaluator, W: np.ndarray, x: float) -> n
     """v exp(G x) W at a level x >= 0, from the law's evaluator of exp(G x)."""
     # the evaluator raises Inconclusive where x eta overflows (x ~ 1e307 on case 1a)
     with np.errstate(over="ignore", invalid="ignore"):
-        row = (v @ exp_G(x)) @ W
+        row = v.dot(exp_G(x)).dot(W)
         if np.isfinite(row).all():
             return row
     raise Inconclusive(f"matrix exponential not finite in double precision at x = {x}")
 
 
-def stationary_law(model: FluidModel, psi_sol: PsiSolution) -> StationaryLaw:
-    """Boundary masses and density factors of a positive recurrent model."""
+def _law_factors(model: FluidModel, psi_sol: PsiSolution):
+    """Theta, q, p_minus, p_zero and W of a positive recurrent model's law."""
     if core.mean_drift(model) >= 0:
         raise NotRecurrent("mean drift is nonnegative")
     psi, K = psi_sol.psi, psi_sol.K
@@ -124,8 +124,14 @@ def stationary_law(model: FluidModel, psi_sol: PsiSolution) -> StationaryLaw:
     if denom <= 0:
         raise SingularNormalization(f"normalization denominator {denom:.3e}")
     s = 1.0 / denom
-    return StationaryLaw(K=K, Theta=theta, q=s * q_v, p_minus=s * v_minus,
-                         p_zero=s * v_zero, W=W, exp_K=exp_evaluator(K))
+    return theta, s * q_v, s * v_minus, s * v_zero, W
+
+
+def stationary_law(model: FluidModel, psi_sol: PsiSolution) -> StationaryLaw:
+    """Boundary masses and density factors of a positive recurrent model."""
+    theta, q, p_minus, p_zero, W = _law_factors(model, psi_sol)
+    return StationaryLaw(K=psi_sol.K, Theta=theta, q=q, p_minus=p_minus, p_zero=p_zero,
+                         W=W, exp_K=exp_evaluator(psi_sol.K))
 
 
 def density_at(law: StationaryLaw, psi: np.ndarray, model: FluidModel,
@@ -152,7 +158,7 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
     differentiating the balance equations at level zero; the remaining
     free constant is pinned by the derivative of the normalization.
     """
-    law = stationary_law(model, psi_sol)
+    theta, q, p_minus, p_zero, W = _law_factors(model, psi_sol)
     psi, K = psi_sol.psi, psi_sol.K
     ip, i0, im = model.ip, model.i0, model.im
     cp = model.c_plus[:, None]
@@ -168,7 +174,7 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
     K1 = Qt_pp / cp + psi1_cm @ blocks.Q_mp + psi_cm @ Qt_mp
 
     inner = at(ip, i0) / cp + psi1_cm @ model.block(im, i0) \
-        + psi_cm @ at(im, i0) + law.Theta @ at(i0, i0)
+        + psi_cm @ at(im, i0) + theta @ at(i0, i0)
     Theta1 = _right_solve(inner, -model.block(i0, i0))
 
     # Poisson equation for the boundary-mass derivative:
@@ -179,26 +185,26 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
                    + model.block(im, ip) @ psi1, at(im, i0)]),
         np.hstack([at(i0, im) + at(i0, ip) @ psi
                    + model.block(i0, ip) @ psi1, at(i0, i0)])])
-    p = np.concatenate([law.p_minus, law.p_zero])
+    p = np.concatenate([p_minus, p_zero])
     S_sharp = group_inverse(S, p / p.sum())
     p1_part = -(p @ S1) @ S_sharp
     q1_part = p1_part[:model.n_minus] @ model.block(im, ip) \
         + p1_part[model.n_minus:] @ model.block(i0, ip) \
-        + law.p_minus @ at(im, ip) + law.p_zero @ at(i0, ip)
+        + p_minus @ at(im, ip) + p_zero @ at(i0, ip)
 
     # derivative of the normalization fixes the free constant; the
     # coefficient of the constant is the total mass, which is one
     W1_top = _row_factor(model, np.zeros_like(K), Theta1, psi1)
-    y = solve_linear(-K, law.W.sum(axis=1))
+    y = solve_linear(-K, W.sum(axis=1))
     mass1 = p1_part.sum() + q1_part @ y \
-        + law.q @ solve_linear(-K, K1 @ y + W1_top.sum(axis=1))
+        + q @ solve_linear(-K, K1 @ y + W1_top.sum(axis=1))
     p1 = p1_part - mass1 * p
-    q1 = q1_part - mass1 * law.q
+    q1 = q1_part - mass1 * q
     G = np.block([[K, K1], [np.zeros_like(K), K]])
     return FirstOrderLaw(K1=K1, Theta1=Theta1, q1=q1,
                          p1_minus=p1[:model.n_minus], p1_zero=p1[model.n_minus:],
-                         G=G, v=np.concatenate([law.q, q1]),
-                         W1=np.vstack([W1_top, law.W]), exp_G=exp_evaluator(G))
+                         G=G, v=np.concatenate([q, q1]),
+                         W1=np.vstack([W1_top, W]), exp_G=exp_evaluator(G))
 
 
 def density1_at(fol: FirstOrderLaw, law: StationaryLaw, model: FluidModel,

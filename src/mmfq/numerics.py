@@ -123,26 +123,24 @@ def sylvester_residual(K, U, H, X) -> float:
     return num / max(scale, 1e-300)
 
 
-# Pade [13/13] coefficients b_k / b_0 (b_0 = 1 keeps exp(0) = I exact) and a
-# zero; theta_13 and |c_27| of Al-Mohy & Higham, SIMAX 31(3), 2009, Alg. 5.1
-_PADE13 = np.array([math.comb(13, k) * math.factorial(26 - k) / math.factorial(26)
-                    for k in range(14)] + [0.0])
+# Pade [13/13] coefficients b_k / b_0 of the numerator (b_0 = 1 keeps exp(0) = I
+# exact) and (-1)^k b_k / b_0 of the denominator, over the powers M^k;
+# theta_13 and |c_27| of Al-Mohy & Higham, SIMAX 31(3), 2009, Alg. 5.1
+_PADE13 = np.array([[s ** k * math.comb(13, k) * math.factorial(26 - k) / math.factorial(26)
+                     for k in range(14)] for s in (1, -1)])
 _THETA13 = 4.25
 _LOG2_C27 = math.log2(math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27)))
-# degrees of the terms over I, M^2, M^4, M^6 in U = M (M^6 S0 + S2), V = M^6 S1 + S3
-_TERMS = np.array([[14, 9, 11, 13], [14, 8, 10, 12], [1, 3, 5, 7], [0, 2, 4, 6]])
-_DEGREES = np.arange(15.0)
+_DEGREES = np.arange(14.0)
 _GESV, = get_lapack_funcs(("gesv",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class ExpEvaluator:
-    """x -> exp(M x) from :func:`exp_evaluator`: M scaled by 2^-sigma, its powers
-    I, M^2, M^4, M^6, the scaling norm eta of the unscaled M and ell, the
-    per-log2(t) offset of the squarings that bound the Pade error."""
+    """x -> exp(M x) from :func:`exp_evaluator`: the powers I, M, ..., M^13 of
+    M scaled by 2^-sigma, one flattened per row, the scaling norm eta of the
+    unscaled M and ell, the per-log2(t) offset of the squarings that bound
+    the Pade error."""
 
-    M: np.ndarray
-    M6: np.ndarray
     powers: np.ndarray
     sigma: int
     eta: float
@@ -152,7 +150,7 @@ class ExpEvaluator:
         """exp(M x) for finite x >= 0; Inconclusive where x eta overflows."""
         if not 0 <= x < np.inf:
             raise ValueError(f"x must be finite and nonnegative, got {x}")
-        x_eta, n, s = x * self.eta, len(self.M), 0
+        x_eta, n, s = x * self.eta, math.isqrt(self.powers.shape[1]), 0
         if n == 0:
             return np.eye(0)
         if x_eta == np.inf:
@@ -161,12 +159,12 @@ class ExpEvaluator:
             s = max(math.ceil(math.log2(x_eta / _THETA13)), 0)
             s += math.ceil(max(self.ell + math.log2(x) + self.sigma - s, 0.0))
         t = math.ldexp(x, self.sigma - s)  # the Pade step is exp(t M)
-        S = ((_PADE13 * t ** _DEGREES)[_TERMS] @ self.powers).reshape(4, n, n)
-        UV = self.M6 @ S[:2] + S[2:]
-        U, V = self.M @ UV[0], UV[1]
-        R, info = _GESV(V - U, V + U, overwrite_a=1, overwrite_b=1)[2:]
+        # numerator and denominator of the Pade step in one product; ndarray.dot
+        # makes the BLAS call of @ with less dispatch
+        N, D = (_PADE13 * t ** _DEGREES).dot(self.powers).reshape(2, n, n)
+        R, info = _GESV(D, N, overwrite_a=1, overwrite_b=1)[2:]
         for _ in range(s):
-            R = R @ R
+            R = R.dot(R)
         return R if info == 0 else np.full((n, n), np.nan)
 
 
@@ -174,20 +172,22 @@ def exp_evaluator(M: np.ndarray) -> ExpEvaluator:
     """Pade [13/13] scaling and squaring for exp(M x), set up once per M.
 
     The scaling comes from ||(x M)^k||^{1/k} = x ||M^k||^{1/k}, so the
-    powers and the exact 1-norms of M^6, M^8, M^10 and |M|^27 are built
-    here, once.  M is first scaled to unit 1-norm by a power of two.
+    powers I, M, ..., M^13 and the exact 1-norms of M^6, M^8, M^10 and
+    |M|^27 are built here, once.  M is first scaled to unit 1-norm by a
+    power of two.
     """
     sigma = math.frexp(_inf_norm(M.T))[1]
-    M = np.ldexp(M, -sigma)
-    M2 = M @ M
-    M4 = M2 @ M2
-    M6 = M4 @ M2
-    d6, d8, d10 = (_inf_norm(P.T) ** (1.0 / k) for k, P in ((6, M6), (8, M4 @ M4), (10, M4 @ M6)))
-    # floored so that t < 2^23 and t^14 stays finite, as for a nilpotent M
+    n = len(M)
+    P = np.empty((14, n, n))
+    P[0], P[1] = np.eye(n), np.ldexp(M, -sigma)
+    for k in range(2, 14):  # the scaling reads M^6 = M^4 M^2, M^8 = M^4 M^4, M^10 = M^4 M^6
+        h = 4 if k > 5 else k // 2
+        P[k] = P[h] @ P[k - h]
+    d6, d8, d10 = (_inf_norm(P[k].T) ** (1.0 / k) for k in (6, 8, 10))
+    # floored so that t < 2^23 and t^13 stays finite, as for a nilpotent M
     eta = max(min(max(d6, d8), max(d8, d10)), 2.0 ** -20)
-    norm, b27 = (_inf_norm(P.T) for P in (M, np.linalg.matrix_power(np.abs(M), 27)))
-    return ExpEvaluator(M=M, M6=M6, powers=np.stack([np.eye(len(M)), M2, M4, M6]).reshape(4, -1),
-                        sigma=sigma, eta=math.ldexp(eta, sigma),
+    norm, b27 = (_inf_norm(X.T) for X in (P[1], np.linalg.matrix_power(np.abs(P[1]), 27)))
+    return ExpEvaluator(powers=P.reshape(14, n * n), sigma=sigma, eta=math.ldexp(eta, sigma),
                         ell=(_LOG2_C27 + 53 + math.log2(b27 / norm)) / 26 if b27 else -math.inf)
 
 

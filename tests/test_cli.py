@@ -202,6 +202,18 @@ class TestPerturb:
         assert main(["perturb", str(mp), str(pp)]) == 0
         return json.loads(capsys.readouterr().out)
 
+    def test_negative_scientific_eps_check_is_a_value(self, case_1a_file, tmp_path, capsys):
+        # argparse took "-1e-3" for an unknown option; the "=" form parsed
+        model, _ = case_1a_file
+        A = np.array(json.loads(Path(model).read_text())["A"])
+        pert = tmp_path / "scaled.json"  # A + eps A / 10 is a generator for eps > -10
+        pert.write_text(json.dumps({"kind": "generator", "direction": (A / 10).tolist()}))
+        checks = []
+        for flag in (["--eps-check", "-1e-3"], ["--eps-check=-1e-3"]):
+            assert main(["perturb", model, str(pert), *flag]) == 0
+            checks.append(json.loads(capsys.readouterr().out)["eps_check"])
+        assert list(checks[0]) == [f"{-1e-3:.17g}"] and checks[0] == checks[1]
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_eps_check_is_usage_error(self, case_1a_generator, capsys, eps):
         # with a generator direction this ended in a ValueError traceback
@@ -368,6 +380,16 @@ class TestSimulate:
         assert error_report(capsys)["error"] == "EmptySide"
 
 
+@pytest.mark.parametrize("argv,text", [(["--version"], __version__ + "\n"),
+                                       (["psi", "--help"], "usage: mmfq psi")])
+def test_help_and_version_exit_zero(capsys, argv, text):
+    # parser errors are Usage reports; these two still print their text
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(text)
+
+
 TWO_PHASE = '{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [1.0, -2.0]}'
 UP_ONLY = '{"A": [[0.0]], "c": [1.0]}'
 NAN_RATE = '{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [NaN, -2.0]}'
@@ -425,6 +447,9 @@ MALFORMED_INPUTS = [
     malformed("rate-eps-negative", ["perturb", "{m}", "{p}", "--eps-check", "-0.1"], 1,
               "InvalidEpsilon", model=QUICK_START,
               pert='{"kind": "rate", "direction": [0.0, 0.8, 0.0]}'),
+    # argparse printed its usage lines and exited 2 on these
+    malformed("missing-positional", ["psi"], 2, "Usage"),
+    malformed("unknown-flag", ["psi", "{m}", "--bogus"], 2, "Usage"),
     # these already gave one JSON line
     malformed("model-list", ["validate", "{m}"], 1, "DimensionMismatch", model="[1, 2]"),
     malformed("direction-wrong-shape", ["perturb", "{m}", "{p}"], 1, "DimensionMismatch",

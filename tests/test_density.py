@@ -258,13 +258,18 @@ class TestFirstOrder:
             require_generator_kind(spec)
 
 
-@pytest.mark.parametrize("name", ["1a", "2a", "dense"])
+# phase signs of two seeded dense models: p = 3, and p = 12 where exp(G x) is 24 x 24
+DENSE_SIGNS = {"dense": [1, 1, 1, 0, 0, -1, -1, -1], "dense-p12": [1] * 12 + [0] * 2 + [-1] * 10}
+
+
+@pytest.mark.parametrize("name", ["1a", "2a", *DENSE_SIGNS])
 def test_exponentials_against_extended_precision(name):
     # each law's evaluator against a 50-digit expm, just below and above
     # the levels 2^k theta13 / eta where its number of squarings steps up
-    if name == "dense":
-        model = random_recurrent_model(8, np.random.default_rng(67),
-                                       signs=[1, 1, 1, 0, 0, -1, -1, -1], max_drift=-0.1)
+    if name in DENSE_SIGNS:
+        signs = DENSE_SIGNS[name]
+        model = random_recurrent_model(len(signs), np.random.default_rng(67),
+                                       signs=signs, max_drift=-0.1)
     else:
         model, _ = case_model(name)
     _, _, law, fol = laws(model, random_generator_direction(

@@ -213,6 +213,11 @@ class TestExpEvaluator:
             assert np.array_equal(zero(x), np.eye(3))
             assert np.array_equal(nilpotent(x), [[1.0, x], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("n", [1, 9, 40])
+    def test_zero_level_is_exact_for_a_dense_matrix(self, n):
+        M = np.random.default_rng(n).normal(size=(n, n)) * 3.0
+        assert np.array_equal(exp_evaluator(M)(0.0), np.eye(n))
+
     def test_diagonal_and_scalar(self):
         diagonal = exp_evaluator(np.diag([1.0, -2.0, 0.0]))
         scalar = exp_evaluator(np.array([[-0.7]]))
