@@ -102,7 +102,8 @@ def _propagate(v: np.ndarray, exp_G: ExpEvaluator, W: np.ndarray, x: float) -> n
 
 
 def _law_factors(model: FluidModel, psi_sol: PsiSolution):
-    """Theta, q, p_minus, p_zero and W of a positive recurrent model's law."""
+    """Theta, q, p_minus, p_zero and W of a positive recurrent model's law: all
+    of its ``StationaryLaw`` but K and the evaluator of exp(K x)."""
     if core.mean_drift(model) >= 0:
         raise NotRecurrent("mean drift is nonnegative")
     psi, K = psi_sol.psi, psi_sol.K

@@ -123,20 +123,20 @@ def sylvester_residual(K, U, H, X) -> float:
     return num / max(scale, 1e-300)
 
 
-# Pade [13/13] coefficients b_k / b_0 of the numerator (b_0 = 1 keeps exp(0) = I
-# exact) and (-1)^k b_k / b_0 of the denominator, over the powers M^k;
+# Pade [13/13] coefficients b_k / b_0 of the numerator (b_0 = 1 keeps exp(0) = I exact)
+# and (-1)^k b_k / b_0 of the denominator, k = 13 down to 0 as the powers are stored;
 # theta_13 and |c_27| of Al-Mohy & Higham, SIMAX 31(3), 2009, Alg. 5.1
+_DEGREES = np.arange(13.0, -1.0, -1.0)
 _PADE13 = np.array([[s ** k * math.comb(13, k) * math.factorial(26 - k) / math.factorial(26)
-                     for k in range(14)] for s in (1, -1)])
+                     for k in range(13, -1, -1)] for s in (1, -1)])
 _THETA13 = 4.25
 _LOG2_C27 = math.log2(math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27)))
-_DEGREES = np.arange(14.0)
 _GESV, = get_lapack_funcs(("gesv",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class ExpEvaluator:
-    """x -> exp(M x) from :func:`exp_evaluator`: the powers I, M, ..., M^13 of
+    """x -> exp(M x) from :func:`exp_evaluator`: the powers M^13, ..., M, I of
     M scaled by 2^-sigma, one flattened per row, the scaling norm eta of the
     unscaled M and ell, the per-log2(t) offset of the squarings that bound
     the Pade error."""
@@ -159,8 +159,7 @@ class ExpEvaluator:
             s = max(math.ceil(math.log2(x_eta / _THETA13)), 0)
             s += math.ceil(max(self.ell + math.log2(x) + self.sigma - s, 0.0))
         t = math.ldexp(x, self.sigma - s)  # the Pade step is exp(t M)
-        # numerator and denominator of the Pade step in one product; ndarray.dot
-        # makes the BLAS call of @ with less dispatch
+        # numerator and denominator in one product; .dot makes @'s BLAS call, with less dispatch
         N, D = (_PADE13 * t ** _DEGREES).dot(self.powers).reshape(2, n, n)
         R, info = _GESV(D, N, overwrite_a=1, overwrite_b=1)[2:]
         for _ in range(s):
@@ -172,13 +171,14 @@ def exp_evaluator(M: np.ndarray) -> ExpEvaluator:
     """Pade [13/13] scaling and squaring for exp(M x), set up once per M.
 
     The scaling comes from ||(x M)^k||^{1/k} = x ||M^k||^{1/k}, so the
-    powers I, M, ..., M^13 and the exact 1-norms of M^6, M^8, M^10 and
+    powers of M up to M^13 and the exact 1-norms of M^6, M^8, M^10 and
     |M|^27 are built here, once.  M is first scaled to unit 1-norm by a
     power of two.
     """
     sigma = math.frexp(_inf_norm(M.T))[1]
     n = len(M)
-    P = np.empty((14, n, n))
+    powers = np.empty((14, n, n))  # M^13 first: each combination adds the small terms first
+    P = powers[::-1]  # P[k] = M^k
     P[0], P[1] = np.eye(n), np.ldexp(M, -sigma)
     for k in range(2, 14):  # the scaling reads M^6 = M^4 M^2, M^8 = M^4 M^4, M^10 = M^4 M^6
         h = 4 if k > 5 else k // 2
@@ -187,7 +187,7 @@ def exp_evaluator(M: np.ndarray) -> ExpEvaluator:
     # floored so that t < 2^23 and t^13 stays finite, as for a nilpotent M
     eta = max(min(max(d6, d8), max(d8, d10)), 2.0 ** -20)
     norm, b27 = (_inf_norm(X.T) for X in (P[1], np.linalg.matrix_power(np.abs(P[1]), 27)))
-    return ExpEvaluator(powers=P.reshape(14, n * n), sigma=sigma, eta=math.ldexp(eta, sigma),
+    return ExpEvaluator(powers=powers.reshape(14, n * n), sigma=sigma, eta=math.ldexp(eta, sigma),
                         ell=(_LOG2_C27 + 53 + math.log2(b27 / norm)) / 26 if b27 else -math.inf)
 
 
