@@ -196,19 +196,17 @@ def case_model(case_id: str, m: int = 5):
 
 def error_norms(model: FluidModel, psi_eps: PsiSolution, pmodel: FluidModel,
                 expansion: PsiExpansion, eps: float) -> ErrorNorms:
-    """Norms of Psi(eps) - Psi_bar - eps Psi1 with label-aligned blocks."""
+    """Norms of Psi(eps) - Psi_bar - eps Psi1.
+
+    The perturbed canonical order lists the rows and columns of Psi(eps) in
+    the expansion's block order; a perturbed model whose partition differs
+    is a ``ShapeMismatch``.
+    """
     orig = model.perm[pmodel.perm]
-    row_orig = orig[pmodel.ip]
-    col_orig = orig[pmodel.im]
-    if sorted(row_orig) != sorted(expansion.row_phases) or \
-            sorted(col_orig) != sorted(expansion.col_phases):
+    if not (np.array_equal(orig[pmodel.ip], expansion.row_phases)
+            and np.array_equal(orig[pmodel.im], expansion.col_phases)):
         raise ShapeMismatch("perturbed partition does not match the expansion")
-    row_pos = {int(p): i for i, p in enumerate(row_orig)}
-    col_pos = {int(p): j for j, p in enumerate(col_orig)}
-    rows = [row_pos[int(p)] for p in expansion.row_phases]
-    cols = [col_pos[int(p)] for p in expansion.col_phases]
-    D = np.abs(psi_eps.psi.take(rows, 0).take(cols, 1)
-               - expansion.psi_bar - eps * expansion.psi1)
+    D = np.abs(psi_eps.psi - expansion.psi_bar - eps * expansion.psi1)
     row_sums = D.sum(axis=1)
     col_sums = D.sum(axis=0)
     k = expansion.n_up_rows

@@ -61,9 +61,9 @@ def _grid(spec: str, log: bool) -> np.ndarray:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}, expected A:B:N") from exc
     # a linear grid is of levels x >= 0; a log grid (of eps) needs two
-    # positive finite ends and two points to fit a slope
+    # distinct positive finite ends and two points to fit a slope
     low, high = sorted((a, b))
-    if n < 1 + log or not 0 <= low <= high < np.inf or log and low == 0:
+    if n < 1 + log or not 0 <= low <= high < np.inf or log and not 0 < low < high:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}")
     if log:
         return np.logspace(np.log10(a), np.log10(b), n)

@@ -263,12 +263,14 @@ def load_model(path) -> FluidModel:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "A" not in doc or "c" not in doc:
         raise DimensionMismatch('model file must be an object with "A" and "c"')
+    labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise DimensionMismatch(f"labels must be a list, got {type(labels).__name__}")
     try:
         A = np.asarray(doc["A"], dtype=float)
         c = as_vector(doc["c"], "c")
-        labels = None if doc.get("labels") is None else tuple(str(x) for x in doc["labels"])
     except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"A, c or labels is not a finite array of numbers: {exc}") from exc
+        raise DimensionMismatch(f"A or c is not a finite array of numbers: {exc}") from exc
     if A.ndim != 2:
         raise DimensionMismatch(f"A must be 2-dimensional, got shape {A.shape}")
     if not np.isfinite(A).all():

@@ -39,8 +39,8 @@ class PsiExpansion:
     """Zeroth- and first-order matrices in the perturbed block layout.
 
     ``row_phases`` / ``col_phases`` give the original phase index of every
-    row and column, so the expansion can be aligned with a direct solve of
-    the perturbed model.  ``aux`` holds the named intermediate blocks that
+    row and column; a direct solve of the perturbed model lists its rows and
+    columns in this same order.  ``aux`` holds the named intermediate blocks that
     the expansion route produced.
     """
 
@@ -78,27 +78,25 @@ def _inv(M: np.ndarray) -> np.ndarray:
 def qtilde_blocks(model: FluidModel, a_tilde: np.ndarray):
     """First-order coefficient of the censored generator blocks.
 
-    Differentiating the censoring formula Q = A_rc + A_r0 (-A_00)^{-1} A_0c
-    along the direction ``a_tilde`` (canonical order) gives
+    Differentiating the censoring formula Q = A_cc + A_c0 (-A_00)^{-1} A_0c
+    (c the up and down phases) along the direction ``a_tilde`` (canonical
+    order) gives
 
-        Qt_rc = At_rc + At_r0 N A_0c + A_r0 N At_00 N A_0c + A_r0 N At_0c
+        Qt = At_cc + (At_c0 + R At_00) N_0c + R At_0c
 
-    with N = (-A_00)^{-1}.
+    with N_0c = (-A_00)^{-1} A_0c and R = A_c0 (-A_00)^{-1}.
     """
-    ip, i0, im = model.ip, model.i0, model.im
+    i0 = model.i0
+    ic = np.concatenate([model.ip, model.im])
     At = np.asarray(a_tilde, dtype=float)
-    out = {}
-    N = _inv(-model.block(i0, i0))
-    At00 = At.take(i0, 0).take(i0, 1)
-    for r, ir in (("p", ip), ("m", im)):
-        A_r0 = model.block(ir, i0)
-        At_r0 = At.take(ir, 0).take(i0, 1)
-        for c, ic in (("p", ip), ("m", im)):
-            A_0c = model.block(i0, ic)
-            At_0c = At.take(i0, 0).take(ic, 1)
-            out[r + c] = (At.take(ir, 0).take(ic, 1) + At_r0 @ N @ A_0c
-                          + A_r0 @ N @ At00 @ N @ A_0c + A_r0 @ N @ At_0c)
-    return out["pp"], out["pm"], out["mp"], out["mm"]
+    neg_A00 = -model.block(i0, i0)
+    N_0c = solve_linear(neg_A00, model.block(i0, ic))
+    R = solve_linear(neg_A00.T, model.block(ic, i0).T).T
+    Qt = At.take(ic, 0).take(ic, 1) \
+        + (At.take(ic, 0).take(i0, 1) + R @ At.take(i0, 0).take(i0, 1)) @ N_0c \
+        + R @ At.take(i0, 0).take(ic, 1)
+    p = model.n_plus
+    return Qt[:p, :p], Qt[:p, p:], Qt[p:, :p], Qt[p:, p:]
 
 
 def psi1_generator(model: FluidModel, psi_sol: PsiSolution,
@@ -206,10 +204,8 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     u_0_om_om = (model.block(io_m, ip) @ psi1_p_om
                  + model.block(io_m, io_p) @ psi1_op_om) / ct_om_row
 
-    # eps^0 blocks of K(eps), including the contribution of psi1_p_om
-    # through the om rows of |C-(eps)^{-1}|
-    k_0_p_p = model.block(ip, ip) / cp + (psi / cm_col) @ model.block(im, ip) \
-        + (psi1_p_om / ct_om_col) @ model.block(io_m, ip)
+    # eps^0 block (p, op) of K(eps), including the contribution of
+    # psi1_p_om through the om rows of |C-(eps)^{-1}|
     k_0_p_op = model.block(ip, io_p) / cp + (psi / cm_col) @ model.block(im, io_p) \
         + (psi1_p_om / ct_om_col) @ model.block(io_m, io_p)
 
@@ -230,15 +226,13 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
 
     # substitute steps 2' and 5 into the eps^1 coefficient of the (p, m)
     # block; the Sylvester operator pair collapses to the censored (K, U)
-    # of the base model, which the tests verify numerically
-    k_hat = k_0_p_p + k_0_p_op @ neg_k_inv @ k_m1_op_p
-    u_hat = u_0_m_m + u_0_m_om @ neg_u_inv @ u_m1_om_m
+    # of the base model, so the root solve's pair is used
     r1 = ct_p_scale * ((model.block(ip, im) + model.block(ip, ip) @ psi
                         + model.block(ip, io_p) @ psi_op_m) / cp) \
         - ((psi / cm_col) * ct_m[None, :]) @ u_0_m_m
     w0 = psi1_op_om @ u_m1_om_m + psi_op_m @ u_0_m_m
     rhs = r1 - k_0_p_op @ neg_k_inv @ w0 - G @ neg_u_inv @ u_m1_om_m
-    psi1_p_m = solve_sylvester(k_hat, u_hat, rhs)
+    psi1_p_m = solve_sylvester(psi_sol.K, psi_sol.U, rhs)
 
     psi1_op_m = neg_k_inv @ (k_m1_op_p @ psi1_p_m + w0)
     psi2_p_om = (G + psi1_p_m @ u_0_m_om) @ neg_u_inv
@@ -258,8 +252,7 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
              "psi1_p_om": psi1_p_om, "psi1_op_om": psi1_op_om,
              "psi1_op_m": psi1_op_m, "psi2_p_om": psi2_p_om,
              "series": SeriesBlocks(u_m1_om_om, u_m1_om_m, u_0_m_m, u_0_m_om,
-                                    u_0_om_om, k_m1_op_op, k_m1_op_p),
-             "k_hat": k_hat, "u_hat": u_hat})
+                                    u_0_om_om, k_m1_op_op, k_m1_op_p)})
 
 
 def expand(model: FluidModel, psi_sol: PsiSolution,

@@ -225,7 +225,7 @@ class TestPerturb:
         doc = self.perturb_zero_phases(tmp_path, capsys, [0.5, 0.8, -0.6])
         assert doc["regime"] == "general"
         assert "psi_op_om" in doc["aux_blocks"]
-        assert "k_hat" in doc["aux_blocks"]
+        assert "psi2_p_om" in doc["aux_blocks"]
 
     def test_unaffected_regime_lists_the_same_blocks(self, tmp_path, capsys):
         general = self.perturb_zero_phases(tmp_path, capsys, [0.5, 0.8, -0.6])
@@ -410,6 +410,12 @@ MALFORMED_INPUTS = [
     # each of these ended in a traceback or, for the last two, in another code
     malformed("model-number", ["validate", "{m}"], 1, "DimensionMismatch", model="5"),
     malformed("model-null", ["psi", "{m}"], 1, "DimensionMismatch", model="null"),
+    # these named the phases after the characters or keys, with exit 0
+    malformed("labels-string", ["validate", "{m}"], 1, "DimensionMismatch",
+              model='{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [1.0, -2.0], "labels": "ab"}'),
+    malformed("labels-object", ["validate", "{m}"], 1, "DimensionMismatch",
+              model='{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [1.0, -2.0], '
+                    '"labels": {"x": 1, "y": 2}}'),
     malformed("model-1d-A", ["psi", "{m}"], 1, "DimensionMismatch",
               model='{"A": [-1.0, 1.0], "c": [1.0, -2.0]}'),
     malformed("model-scalar-c", ["psi", "{m}"], 1, "DimensionMismatch",
@@ -432,7 +438,7 @@ MALFORMED_INPUTS = [
               pert='{"kind": "rate", "direction": [NaN, 0.0]}'),
     malformed("max-newton-negative", ["psi", "{m}", "--max-newton", "-1"], 2, "Usage"),
     malformed("pert-unknown-kind", ["perturb", "{m}", "{p}"], 1, "InvalidPerturbation",
-              pert='{"kind": "foo"}'),
+              pert='{"kind": "foo", "direction": [0.1, 0.0]}'),
     # these printed a numpy overflow warning first, then SingularSystem or exit 0
     malformed("overflow-validate", ["validate", "{m}"], 1, "NotAGenerator",
               model=f'{{"A": {OVERFLOW}, "c": [1.0, -2.0]}}'),
@@ -454,6 +460,12 @@ MALFORMED_INPUTS = [
     malformed("model-list", ["validate", "{m}"], 1, "DimensionMismatch", model="[1, 2]"),
     malformed("direction-wrong-shape", ["perturb", "{m}", "{p}"], 1, "DimensionMismatch",
               pert='{"kind": "rate", "direction": [0.1, 0.0, 0.3]}'),
+    malformed("generator-direction-wrong-size", ["perturb", "{m}", "{p}"], 1,
+              "DimensionMismatch",
+              pert='{"kind": "generator", "direction": '
+                   '[[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]]}'),
+    malformed("labels-wrong-length", ["validate", "{m}"], 1, "DimensionMismatch",
+              model='{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [1.0, -2.0], "labels": ["a"]}'),
     malformed("generator-eps-negative", ["perturb", "{m}", "{p}", "--eps-check", "-1"], 1,
               "InvalidEpsilon"),
     malformed("generator-eps-huge", ["perturb", "{m}", "{p}", "--eps-check", "1e300"], 1,
@@ -462,6 +474,10 @@ MALFORMED_INPUTS = [
               pert=RATE),
     malformed("density-grid-nan", ["density", "{m}", "--x", "0:nan:3"], 2, "Usage"),
     malformed("eps-grid-one-point", ["case", "--id", "1a", "--eps-grid", "1e-4:1e-2:1"], 2,
+              "Usage"),
+    # this printed a RankWarning and a divide-by-zero warning, then
+    # r_squared -inf with exit 0
+    malformed("eps-grid-equal-ends", ["case", "--id", "1b", "--eps-grid", "1e-3:1e-3:2"], 2,
               "Usage"),
     malformed("replications-zero", ["simulate", "{m}", "--replications", "0"], 2, "Usage"),
     malformed("max-time-nan", ["simulate", "{m}", "--max-time", "nan"], 2, "Usage"),

@@ -7,6 +7,7 @@ from mmfq import (censor_zero_phases, expand, psi1_generator, solve_psi,
 from mmfq.numerics import stable_spectrum, sylvester_residual
 from mmfq.perturb import qtilde_blocks
 from mmfq.bench import error_norms
+from mmfq.errors import ShapeMismatch
 
 from conftest import (bd_identity_gap, random_generator_direction,
                       random_recurrent_model)
@@ -185,13 +186,6 @@ class TestGeneral:
         assert 0.0 <= exp.psi_bar.min()
         assert exp.psi_bar.max() <= 1.0 + 1e-12
 
-    def test_operator_collapses_to_base_K_U(self):
-        model, spec = self.make(seed=37)
-        sol = solve_psi(model)
-        exp = expand(model, sol, spec)
-        assert np.abs(exp.aux["k_hat"] - sol.K).max() < 1e-9
-        assert np.abs(exp.aux["u_hat"] - sol.U).max() < 1e-9
-
     @pytest.mark.parametrize("seed", [38, 39, 40])
     def test_finite_difference(self, seed):
         model, spec = self.make(seed=seed)
@@ -241,6 +235,7 @@ class TestDispatch:
         directions["to_minus"][1][orig_zero] = -0.5
         directions["general"][1][orig_zero] = [0.5, -0.5, 0.5]
         aux_keys = set()
+        runs = {}
         for regime, (kind, direction) in directions.items():
             spec = validate_perturbation(model, kind, direction)
             out = expand(model, sol, spec)
@@ -249,8 +244,16 @@ class TestDispatch:
             assert out.psi_bar.shape == (len(out.row_phases), len(out.col_phases))
             if kind == "rate":
                 aux_keys.add(frozenset(out.aux))
+            # the direct solve comes out in the expansion's layout
+            sol_eps, pmodel = solve_psi_at(model, spec, 1e-4)
+            assert error_norms(model, sol_eps, pmodel, out, 1e-4).e_inf < 1e-6
+            runs[regime] = out, sol_eps, pmodel
         # every rate regime runs the one migration elimination
-        assert len(aux_keys) == 1 and "k_hat" in next(iter(aux_keys))
+        assert len(aux_keys) == 1 and "psi2_p_om" in next(iter(aux_keys))
+        # a to_plus expansion does not fit the general regime's partition
+        _, sol_eps, pmodel = runs["general"]
+        with pytest.raises(ShapeMismatch):
+            error_norms(model, sol_eps, pmodel, runs["to_plus"][0], 1e-4)
 
 
 class TestBDIdentities:
