@@ -123,28 +123,24 @@ def sylvester_residual(K, U, H, X) -> float:
     return num / max(scale, 1e-300)
 
 
-# Pade [13/13] coefficients b_k / b_0 of the numerator (b_0 = 1 keeps exp(0) = I exact)
-# and (-1)^k b_k / b_0 of the denominator, k = 13 down to 0 as the powers are stored;
-# theta_13 and |c_27| of Al-Mohy & Higham, SIMAX 31(3), 2009, Alg. 5.1
-_DEGREES = np.arange(13.0, -1.0, -1.0)
-_PADE13 = np.array([[s ** k * math.comb(13, k) * math.factorial(26 - k) / math.factorial(26)
-                     for k in range(13, -1, -1)] for s in (1, -1)])
-_THETA13 = 4.25
-_LOG2_C27 = math.log2(math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27)))
-_GESV, = get_lapack_funcs(("gesv",), dtype=np.float64)
+# Taylor degree 24 after Al-Mohy & Higham, SISC 33(2), 2011: the coefficients
+# 1/k!, k = 24 down to 0 as the powers are stored (1/0! = 1 keeps exp(0) = I
+# exact), and theta_24, the largest t with h~_25(t)/t <= 2^-53 where h_25(x) =
+# log(e^-x T_24(x)) (2.21905; Higham 2008, Table A.3, rounds it up to 2.22)
+_DEGREES = np.arange(24.0, -1.0, -1.0)
+_TAYLOR24 = np.array([1.0 / math.factorial(k) for k in range(24, -1, -1)])
+_THETA24 = 2.219
 
 
 @dataclass(frozen=True)
 class ExpEvaluator:
-    """x -> exp(M x) from :func:`exp_evaluator`: the powers M^13, ..., M, I of
-    M scaled by 2^-sigma, one flattened per row, the scaling norm eta of the
-    unscaled M and ell, the per-log2(t) offset of the squarings that bound
-    the Pade error."""
+    """x -> exp(M x) from :func:`exp_evaluator`: the powers M^24, ..., M, I
+    of M scaled by 2^-sigma, one flattened per row, and the scaling norm
+    eta of the unscaled M."""
 
     powers: np.ndarray
     sigma: int
     eta: float
-    ell: float
 
     def __call__(self, x: float) -> np.ndarray:
         """exp(M x) for finite x >= 0; Inconclusive where x eta overflows."""
@@ -155,40 +151,37 @@ class ExpEvaluator:
             return np.eye(0)
         if x_eta == np.inf:
             raise Inconclusive(f"scaling norm of exp(M x) overflows at x = {x}")
-        if x_eta > 0:  # squarings for the scaling norm, then for the Pade error
-            s = max(math.ceil(math.log2(x_eta / _THETA13)), 0)
-            s += math.ceil(max(self.ell + math.log2(x) + self.sigma - s, 0.0))
-        t = math.ldexp(x, self.sigma - s)  # the Pade step is exp(t M)
-        # numerator and denominator in one product; .dot makes @'s BLAS call, with less dispatch
-        N, D = (_PADE13 * t ** _DEGREES).dot(self.powers).reshape(2, n, n)
-        R, info = _GESV(D, N, overwrite_a=1, overwrite_b=1)[2:]
+        if x_eta > 0:
+            s = max(math.ceil(math.log2(x_eta / _THETA24)), 0)
+        t = math.ldexp(x, self.sigma - s)  # the Taylor step is exp(t M)
+        # one product; .dot makes @'s BLAS call, with less dispatch
+        R = (_TAYLOR24 * t ** _DEGREES).dot(self.powers).reshape(n, n)
         for _ in range(s):
             R = R.dot(R)
-        return R if info == 0 else np.full((n, n), np.nan)
+        return R
 
 
 def exp_evaluator(M: np.ndarray) -> ExpEvaluator:
-    """Pade [13/13] scaling and squaring for exp(M x), set up once per M.
+    """Taylor degree 24 scaling and squaring for exp(M x), set up once per M.
 
     The scaling comes from ||(x M)^k||^{1/k} = x ||M^k||^{1/k}, so the
-    powers of M up to M^13 and the exact 1-norms of M^6, M^8, M^10 and
-    |M|^27 are built here, once.  M is first scaled to unit 1-norm by a
-    power of two.
+    powers of M up to M^24 and with them the exact 1-norms of M^2, ...,
+    M^6 are built here, once.  M is first scaled to unit 1-norm by a power
+    of two.
     """
     sigma = math.frexp(_inf_norm(M.T))[1]
     n = len(M)
-    powers = np.empty((14, n, n))  # M^13 first: each combination adds the small terms first
+    powers = np.empty((25, n, n))  # M^24 first: each combination adds the small terms first
     P = powers[::-1]  # P[k] = M^k
     P[0], P[1] = np.eye(n), np.ldexp(M, -sigma)
-    for k in range(2, 14):  # the scaling reads M^6 = M^4 M^2, M^8 = M^4 M^4, M^10 = M^4 M^6
-        h = 4 if k > 5 else k // 2
-        P[k] = P[h] @ P[k - h]
-    d6, d8, d10 = (_inf_norm(P[k].T) ** (1.0 / k) for k in (6, 8, 10))
-    # floored so that t < 2^23 and t^13 stays finite, as for a nilpotent M
-    eta = max(min(max(d6, d8), max(d8, d10)), 2.0 ** -20)
-    norm, b27 = (_inf_norm(X.T) for X in (P[1], np.linalg.matrix_power(np.abs(P[1]), 27)))
-    return ExpEvaluator(powers=powers.reshape(14, n * n), sigma=sigma, eta=math.ldexp(eta, sigma),
-                        ell=(_LOG2_C27 + 53 + math.log2(b27 / norm)) / 26 if b27 else -math.inf)
+    for k in range(2, 25):
+        P[k] = P[k // 2] @ P[k - k // 2]
+    d = {k: _inf_norm(P[k].T) ** (1.0 / k) for k in range(2, 7)}
+    # min over p(p - 1) <= 25 of max(d_p, d_p+1), floored so that t < 2^22
+    # and t^24 stays finite, as for a nilpotent M
+    eta = max(min(max(d[p], d[p + 1]) for p in range(2, 6)), 2.0 ** -20)
+    return ExpEvaluator(powers=powers.reshape(25, n * n), sigma=sigma,
+                        eta=math.ldexp(eta, sigma))
 
 
 def matrix_exp(M: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from mmfq.bench import case_model
 from mmfq.density import (density1_at, density_at, first_order_law,
                           stationary_law, zero_mass)
 from mmfq.errors import Inconclusive, NotGeneratorKind, NotRecurrent
-from mmfq.numerics import _THETA13
+from mmfq.numerics import _THETA24
 from mmfq.riccati import perturbed_model
 
 from conftest import random_generator_direction, random_recurrent_model
@@ -265,7 +265,7 @@ DENSE_SIGNS = {"dense": [1, 1, 1, 0, 0, -1, -1, -1], "dense-p12": [1] * 12 + [0]
 @pytest.mark.parametrize("name", ["1a", "2a", *DENSE_SIGNS])
 def test_exponentials_against_extended_precision(name):
     # each law's evaluator against a 50-digit expm, just below and above
-    # the levels 2^k theta13 / eta where its number of squarings steps up
+    # the levels 2^k theta24 / eta where its number of squarings steps up
     if name in DENSE_SIGNS:
         signs = DENSE_SIGNS[name]
         model = random_recurrent_model(len(signs), np.random.default_rng(67),
@@ -275,7 +275,7 @@ def test_exponentials_against_extended_precision(name):
     _, _, law, fol = laws(model, random_generator_direction(
         model, np.random.default_rng(68)))
     for M, E in ((law.K, law.exp_K), (fol.G, fol.exp_G)):
-        for x in [2.0 ** k * _THETA13 / E.eta * f for k in (0, 3) for f in (0.999, 1.001)]:
+        for x in [2.0 ** k * _THETA24 / E.eta * f for k in (0, 3) for f in (0.999, 1.001)]:
             with mpmath.workdps(50):
                 want = np.array(mpmath.expm(mpmath.matrix(M.tolist()) * x).tolist(),
                                 dtype=float)

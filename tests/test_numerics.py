@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -243,6 +244,37 @@ class TestExpEvaluator:
     def test_overflowing_scaling_is_inconclusive(self):
         with pytest.raises(Inconclusive):
             exp_evaluator(-4.0 * np.eye(2))(1e308)
+
+    def test_theta24_from_its_derivation(self):
+        # h_25(x) = log(e^-x T_24(x)) = sum_{k >= 25} c_k x^k from the power
+        # series of log T_24 (f = log g solves k f_k = k g_k - sum j f_j g_k-j);
+        # theta_24 is the largest t with sum |c_k| t^(k-1) <= 2^-53
+        terms = 300
+        with mpmath.workdps(60):
+            g = [1 / mpmath.factorial(k) for k in range(25)]
+            f = [mpmath.mpf(0)] * terms
+            for k in range(1, terms):
+                f[k] = (k * g[k] if k < 25 else 0) - mpmath.fsum(
+                    j * f[j] * g[k - j] for j in range(max(1, k - 24), k))
+                f[k] /= k
+            c = [abs(f[k]) for k in range(25, terms)]
+            theta = mpmath.findroot(
+                lambda t: mpmath.polyval(c[::-1], t) * t ** 24 - mpmath.mpf(2) ** -53, 2.2)
+        assert theta - 1e-3 < numerics._THETA24 <= theta
+
+    @pytest.mark.parametrize("M", [
+        np.array([[-1.0, 1e4], [0.0, -1.5]]),
+        np.diag(-np.arange(1.0, 9.0)) + np.diag(np.full(7, 50.0), 1)],
+        ids=["2x2", "bidiagonal-8"])
+    def test_nonnormal_matches_extended_precision(self, M):
+        # far from normal, ||M^k||^(1/k) falls well below ||M||: the scaling
+        # norm takes fewer squarings, and the Taylor error still stays small
+        E = exp_evaluator(M)
+        for x in np.geomspace(0.01, 10.0, 13):
+            with mpmath.workdps(50):
+                want = np.array(mpmath.expm(mpmath.matrix(M.tolist()) * x).tolist(),
+                                dtype=float)
+            assert np.abs(E(x) - want).max() <= 1e-13 * np.abs(want).max(), x
 
 
 class TestGroupInverse:
