@@ -9,7 +9,7 @@ Theta1]; W]; the boundary-mass derivative solves a Poisson equation through
 the group inverse of the boundary generator.  ``StationaryLaw`` holds W and
 ``FirstOrderLaw`` G, [q, q1] and W1, with columns in the caller's phase order,
 and each holds an evaluator of exp(K x) or exp(G x) with the powers and norms
-of its exponent: all are built once per law, so a level costs one Pade step.
+of its exponent: all are built once per law, so a level costs one Taylor step.
 """
 
 from __future__ import annotations
