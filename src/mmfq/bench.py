@@ -24,6 +24,8 @@ from .riccati import PsiSolution, solve_psi, solve_psi_at
 from . import core
 
 CASE_IDS = ("1a", "2a", "3a", "1b", "2b", "3b")
+# phases per rate class: every case has 3 * CASE_M = 15 phases
+CASE_M = 5
 
 R_PLUS = 0.4
 # Calibration target of the mean drift.  The published setup states -0.1,
@@ -112,17 +114,19 @@ class CaseResult:
     drift: float
 
 
+def _birth_death(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Generator of a birth-death chain: rate up[i] from phase i to i + 1,
+    down[i] from phase i + 1 to i."""
+    A = np.diag(up, 1) + np.diag(down, -1)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    return A
+
+
 def build_mm1n(m: int, lam: float, mu: float) -> np.ndarray:
     """Single-server finite-queue generator on 3m states (birth rate lam)."""
     if m < 1 or lam <= 0 or mu <= 0:
         raise ValueError("m >= 1 and positive rates required")
-    n = 3 * m
-    A = np.zeros((n, n))
-    for i in range(n - 1):
-        A[i, i + 1] = lam
-        A[i + 1, i] = mu
-    np.fill_diagonal(A, -A.sum(axis=1))
-    return A
+    return _birth_death(np.full(3 * m - 1, lam), np.full(3 * m - 1, mu))
 
 
 def build_alternating(m: int, alpha: float, beta: float) -> np.ndarray:
@@ -133,13 +137,8 @@ def build_alternating(m: int, alpha: float, beta: float) -> np.ndarray:
     """
     if m < 1 or alpha <= 0 or beta <= 0:
         raise ValueError("m >= 1 and positive rates required")
-    n = 3 * m
-    A = np.zeros((n, n))
-    for i in range(n - 1):
-        A[i, i + 1] = (n - 1 - i) * alpha
-        A[i + 1, i] = (i + 1) * beta
-    np.fill_diagonal(A, -A.sum(axis=1))
-    return A
+    return _birth_death(np.arange(3 * m - 1, 0, -1) * alpha,
+                        np.arange(1, 3 * m) * beta)
 
 
 def calibrate_rminus(A: np.ndarray, r_plus: float,
@@ -161,22 +160,23 @@ def calibrate_rminus(A: np.ndarray, r_plus: float,
     return float(r_minus)
 
 
-def case_generator(case_id: str, m: int = 5) -> np.ndarray:
+def case_generator(case_id: str) -> np.ndarray:
     family = case_id[0]
     if family == "1":
-        return build_mm1n(m, 2.0, 1.0)
+        return build_mm1n(CASE_M, 2.0, 1.0)
     if family == "2":
-        return build_mm1n(m, 1.0, 2.0)
+        return build_mm1n(CASE_M, 1.0, 2.0)
     if family == "3":
-        return build_alternating(m, 1.0, 1.0)
+        return build_alternating(CASE_M, 1.0, 1.0)
     raise UnknownCase(f"unknown case {case_id!r}")
 
 
-def case_model(case_id: str, m: int = 5):
+def case_model(case_id: str):
     """Calibrated model and perturbation spec for one benchmark case."""
     if case_id not in CASE_IDS:
         raise UnknownCase(f"unknown case {case_id!r}")
-    A = case_generator(case_id, m)
+    m = CASE_M
+    A = case_generator(case_id)
     r_minus = calibrate_rminus(A, R_PLUS, CASE_TARGET_DRIFT)
     c = np.concatenate([R_PLUS * np.ones(m), np.zeros(m),
                         r_minus * np.ones(m)])
@@ -209,8 +209,8 @@ def error_norms(model: FluidModel, psi_eps: PsiSolution, pmodel: FluidModel,
     D = np.abs(psi_eps.psi - expansion.psi_bar - eps * expansion.psi1)
     row_sums = D.sum(axis=1)
     col_sums = D.sum(axis=0)
-    k = expansion.n_up_rows
-    j = expansion.n_migrating_cols
+    k = model.n_plus  # rows of the original up phases come first
+    j = D.shape[1] - model.n_minus  # columns of migrated-down phases come first
     e_plus = float(row_sums[:k].max())
     e_oplus = float(row_sums[k:].max()) if D.shape[0] > k else None
     e_ominus = float(col_sums[:j].max()) if j > 0 else None
@@ -220,8 +220,8 @@ def error_norms(model: FluidModel, psi_eps: PsiSolution, pmodel: FluidModel,
                       e_minus=e_minus, e_ominus=e_ominus)
 
 
-def default_eps_grid(n_points: int = 20) -> np.ndarray:
-    return np.logspace(-4, -2, n_points)
+def default_eps_grid() -> np.ndarray:
+    return np.logspace(-4, -2, 20)
 
 
 def fit_slope(eps_grid: np.ndarray, values: np.ndarray):
@@ -235,13 +235,15 @@ def fit_slope(eps_grid: np.ndarray, values: np.ndarray):
     return float(slope), float(1.0 - ss_res / ss_tot)
 
 
-def run_case(case_id: str, eps_grid: np.ndarray | None = None,
-             m: int = 5) -> CaseResult:
-    """Sweep eps for one case and fit the convergence slope."""
-    model, spec = case_model(case_id, m)
+def run_case(case_id: str, eps_grid: np.ndarray | None = None) -> CaseResult:
+    """Sweep eps for one case and fit the convergence slope; a grid of fewer
+    than two distinct eps is a ``ValueError``, raised before any solve."""
     if eps_grid is None:
         eps_grid = default_eps_grid()
     eps_grid = np.asarray(eps_grid, dtype=float)
+    if np.unique(eps_grid).size < 2:
+        raise ValueError(f"a slope fit needs two distinct eps, got {eps_grid.tolist()}")
+    model, spec = case_model(case_id)
     sol = solve_psi(model)
     expansion = expand(model, sol, spec)
     norms = []

@@ -103,7 +103,8 @@ def _propagate(v: np.ndarray, exp_G: ExpEvaluator, W: np.ndarray, x: float) -> n
 
 def _law_factors(model: FluidModel, psi_sol: PsiSolution):
     """Theta, q, p_minus, p_zero and W of a positive recurrent model's law: all
-    of its ``StationaryLaw`` but K and the evaluator of exp(K x)."""
+    of its ``StationaryLaw`` but K and the evaluator of exp(K x); then the
+    boundary generator S and y = (-K)^{-1} W 1, which the first-order law reuses."""
     if core.mean_drift(model) >= 0:
         raise NotRecurrent("mean drift is nonnegative")
     psi, K = psi_sol.psi, psi_sol.K
@@ -121,16 +122,17 @@ def _law_factors(model: FluidModel, psi_sol: PsiSolution):
     q_v = v_minus @ model.block(model.im, model.ip) \
         + v_zero @ model.block(model.i0, model.ip)
     W = _row_factor(model, np.diag(1.0 / model.c_plus), theta, psi)
-    denom = 1.0 + q_v @ solve_linear(-K, W.sum(axis=1))
+    y = solve_linear(-K, W.sum(axis=1))
+    denom = 1.0 + q_v @ y
     if denom <= 0:
         raise SingularNormalization(f"normalization denominator {denom:.3e}")
     s = 1.0 / denom
-    return theta, s * q_v, s * v_minus, s * v_zero, W
+    return theta, s * q_v, s * v_minus, s * v_zero, W, S, y
 
 
 def stationary_law(model: FluidModel, psi_sol: PsiSolution) -> StationaryLaw:
     """Boundary masses and density factors of a positive recurrent model."""
-    theta, q, p_minus, p_zero, W = _law_factors(model, psi_sol)
+    theta, q, p_minus, p_zero, W, _, _ = _law_factors(model, psi_sol)
     return StationaryLaw(K=psi_sol.K, Theta=theta, q=q, p_minus=p_minus, p_zero=p_zero,
                          W=W, exp_K=exp_evaluator(psi_sol.K))
 
@@ -159,7 +161,7 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
     differentiating the balance equations at level zero; the remaining
     free constant is pinned by the derivative of the normalization.
     """
-    theta, q, p_minus, p_zero, W = _law_factors(model, psi_sol)
+    theta, q, p_minus, p_zero, W, S, y = _law_factors(model, psi_sol)
     psi, K = psi_sol.psi, psi_sol.K
     ip, i0, im = model.ip, model.i0, model.im
     cp = model.c_plus[:, None]
@@ -180,7 +182,6 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
 
     # Poisson equation for the boundary-mass derivative:
     # x S = -p S1 has solutions x = -p S1 S^# + const * p
-    S = _boundary_generator(model, psi)
     S1 = np.vstack([
         np.hstack([at(im, im) + at(im, ip) @ psi
                    + model.block(im, ip) @ psi1, at(im, i0)]),
@@ -196,7 +197,6 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
     # derivative of the normalization fixes the free constant; the
     # coefficient of the constant is the total mass, which is one
     W1_top = _row_factor(model, np.zeros_like(K), Theta1, psi1)
-    y = solve_linear(-K, W.sum(axis=1))
     mass1 = p1_part.sum() + q1_part @ y \
         + q @ solve_linear(-K, K1 @ y + W1_top.sum(axis=1))
     p1 = p1_part - mass1 * p

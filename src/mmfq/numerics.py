@@ -16,6 +16,8 @@ from scipy.linalg import get_lapack_funcs
 from .errors import Inconclusive, NoConvergence, SingularSystem, Singular
 
 PIVOT_RTOL = 1e-14
+SPECTRAL_MARGIN = 1e-8
+NULL_RTOL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -208,14 +210,14 @@ def group_inverse(M: np.ndarray, left_null: np.ndarray) -> np.ndarray:
     return solve_linear(M - one_pi, np.eye(n)) + one_pi
 
 
-def stable_spectrum(M: np.ndarray, margin: float = 1e-8) -> bool:
+def stable_spectrum(M: np.ndarray) -> bool:
     """True iff the spectral abscissa of M is negative.
 
     The abscissa is the largest real part of ``eigvals(M)``.  Raises
-    :class:`Inconclusive` when it is within ``margin`` of zero.
+    :class:`Inconclusive` when it is within ``SPECTRAL_MARGIN`` of zero.
     """
     abscissa = float(np.linalg.eigvals(as_matrix(M, "M")).real.max(initial=-np.inf))
-    if abs(abscissa) <= margin:
+    if abs(abscissa) <= SPECTRAL_MARGIN:
         raise Inconclusive(f"spectral abscissa {abscissa!r} within margin of 0")
     return abscissa < 0.0
 
@@ -241,12 +243,12 @@ def conv_integral(K: np.ndarray, D: np.ndarray, x: float) -> np.ndarray:
     return matrix_exp(block * x)[:p, p:]
 
 
-def null_row_vector(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def null_row_vector(M: np.ndarray) -> np.ndarray:
     """Row vector v with v M = 0 and v 1 = 1, for a rank n-1 generator.
 
     Solved through the bordered system obtained by replacing the last
     column of M with ones.  Raises :class:`SingularSystem` when the solve
-    breaks down or the residual exceeds ``rtol`` relative to norm(M).
+    breaks down or the residual exceeds ``NULL_RTOL`` relative to norm(M).
     """
     M = as_matrix(M, "M")
     n = M.shape[0]
@@ -261,6 +263,6 @@ def null_row_vector(M: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     except Singular as exc:
         raise SingularSystem(str(exc)) from exc
     scale = max(_inf_norm(M), 1.0)
-    if np.abs(v @ M).max(initial=0.0) > rtol * scale:
+    if np.abs(v @ M).max(initial=0.0) > NULL_RTOL * scale:
         raise SingularSystem("null-vector residual exceeds tolerance")
     return v

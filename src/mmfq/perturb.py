@@ -49,8 +49,6 @@ class PsiExpansion:
     psi1: np.ndarray
     row_phases: np.ndarray
     col_phases: np.ndarray
-    n_up_rows: int        # leading rows belonging to the original up class
-    n_migrating_cols: int  # leading columns belonging to migrated-down phases
     aux: dict = field(default_factory=dict)
 
 
@@ -247,7 +245,6 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
         regime=spec.regime, psi_bar=psi_bar, psi1=psi1,
         row_phases=np.concatenate([model.perm[ip], model.perm[io_p]]),
         col_phases=np.concatenate([model.perm[io_m], model.perm[im]]),
-        n_up_rows=model.n_plus, n_migrating_cols=len(io_m),
         aux={"psi_op_om": psi_op_om, "psi_op_m": psi_op_m,
              "psi1_p_om": psi1_p_om, "psi1_op_om": psi1_op_om,
              "psi1_op_m": psi1_op_m, "psi2_p_om": psi2_p_om,
@@ -268,8 +265,7 @@ def expand(model: FluidModel, psi_sol: PsiSolution,
     return PsiExpansion(
         regime=spec.regime, psi_bar=psi_sol.psi.copy(),
         psi1=psi1_generator(model, psi_sol, spec.direction),
-        row_phases=model.perm[model.ip], col_phases=model.perm[model.im],
-        n_up_rows=model.n_plus, n_migrating_cols=0)
+        row_phases=model.perm[model.ip], col_phases=model.perm[model.im])
 
 
 def load_perturbation(path, model: FluidModel) -> PerturbationSpec:

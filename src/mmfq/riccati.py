@@ -33,6 +33,8 @@ DEFAULT_MAX_NEWTON = 50
 FLOOR_FACTOR = 256.0
 # a solve this tight ends with the shifted Newton step of _defect_correct
 REFINE_THRESHOLD = 1e-10
+# largest row-sum defect check_structure accepts
+STRUCTURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -141,19 +143,6 @@ def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb):
     return X, float(_inf_norm(_residual(*eq, X) / cp))
 
 
-def _coefficients(model: FluidModel, blocks):
-    cm = model.c_minus_abs[:, None]
-    return blocks.Q_pp / model.c_plus[:, None], blocks.Q_mm / cm, blocks.Q_mp / cm
-
-
-def build_UK(model: FluidModel, psi: np.ndarray):
-    """Downward-record generator U and density exponent K for a given psi."""
-    Ma, Mu, Mb = _coefficients(model, censor_zero_phases(model))
-    U = Mu + Mb @ psi
-    K = Ma + psi @ Mb
-    return U, K
-
-
 def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
               max_newton: int = DEFAULT_MAX_NEWTON) -> PsiSolution:
     """Solve for the first-return matrix of a fluid model.
@@ -168,7 +157,8 @@ def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
     if model.n_plus == 0 or model.n_minus == 0:
         raise EmptySide("model needs at least one positive and one negative rate")
     blocks = censor_zero_phases(model)
-    Ma, Mu, Mb = _coefficients(model, blocks)
+    cm = model.c_minus_abs[:, None]
+    Ma, Mu, Mb = blocks.Q_pp / model.c_plus[:, None], blocks.Q_mm / cm, blocks.Q_mp / cm
     X, iterations, history = newton_riccati(
         blocks.Q_pm, blocks.Q_pp, Mu, Mb, model.c_plus, tol, max_newton)
     if tol <= REFINE_THRESHOLD:
@@ -211,8 +201,7 @@ def perturbed_model(model: FluidModel, spec: PerturbationSpec,
 
 
 def solve_psi_at(model: FluidModel, spec: PerturbationSpec, eps: float,
-                 tol: float = DEFAULT_TOL,
-                 max_newton: int = DEFAULT_MAX_NEWTON):
+                 tol: float = DEFAULT_TOL):
     """Solve the perturbed model at finite eps from scratch.
 
     Returns ``(solution, perturbed)`` where ``perturbed`` carries the
@@ -220,13 +209,15 @@ def solve_psi_at(model: FluidModel, spec: PerturbationSpec, eps: float,
     to positions of the base model's canonical ordering.
     """
     pmodel = perturbed_model(model, spec, eps)
-    return solve_psi(pmodel, tol=tol, max_newton=max_newton), pmodel
+    return solve_psi(pmodel, tol=tol), pmodel
 
 
-def check_structure(model: FluidModel, sol: PsiSolution, tol: float = 1e-10) -> dict:
+def check_structure(model: FluidModel, sol: PsiSolution) -> dict:
     """Structural facts that hold for positive recurrent models."""
+    def small(defect):
+        return float(np.abs(defect).max(initial=0.0)) <= STRUCTURE_TOL
     return {
-        "psi_rows_sum_to_one": float(np.abs(sol.psi.sum(axis=1) - 1.0).max(initial=0.0)) <= tol,
-        "U_rows_conserve": float(np.abs(sol.U.sum(axis=1)).max(initial=0.0)) <= tol,
+        "psi_rows_sum_to_one": small(sol.psi.sum(axis=1) - 1.0),
+        "U_rows_conserve": small(sol.U.sum(axis=1)),
         "K_stable": stable_spectrum(sol.K),
     }

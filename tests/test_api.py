@@ -1,8 +1,9 @@
 """The public-name contract: ``mmfq.__all__`` lists exactly these names and
 every one of them resolves; so does every library attribute that the
-benchmark's tracer wraps."""
+benchmark's tracer wraps, and the README's quick start runs."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import mmfq
@@ -10,11 +11,11 @@ import mmfq
 PUBLIC_NAMES = [
     "CaseResult", "CensoredBlocks", "DensityEstimate", "FirstOrderLaw",
     "FluidModel", "PerturbationSpec", "PsiEstimate", "PsiExpansion",
-    "PsiSolution", "SeriesBlocks", "StationaryLaw", "build_UK",
-    "calibrate_rminus", "case_model", "censor_zero_phases", "density1_at",
-    "density_at", "error_norms", "estimate_density", "estimate_psi",
-    "expand", "first_order_law", "load_model", "load_perturbation",
-    "mean_drift", "psi1_generator", "run_case", "solve_psi", "solve_psi_at",
+    "PsiSolution", "SeriesBlocks", "StationaryLaw", "calibrate_rminus",
+    "case_model", "censor_zero_phases", "density1_at", "density_at",
+    "error_norms", "estimate_density", "estimate_psi", "expand",
+    "first_order_law", "load_model", "load_perturbation", "mean_drift",
+    "psi1_generator", "run_case", "solve_psi", "solve_psi_at",
     "stationary_law", "stationary_phase_dist", "validate_model",
     "validate_perturbation", "zero_mass",
     "__version__",
@@ -42,3 +43,13 @@ def test_traced_attributes_resolve():
     assert tracing.WRAP_POINTS
     for module, attr, _, _ in tracing.WRAP_POINTS:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+
+def test_readme_quick_start_runs():
+    # the first python block of README.md is the documented example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["sol"].residual <= 1e-12
+    assert namespace["expansion"].psi1.shape == namespace["direct"].psi.shape

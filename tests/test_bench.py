@@ -133,6 +133,16 @@ class TestRunCase:
         assert result.e_oplus is not None
         assert np.all(result.e_inf >= result.e_plus - 1e-300)
 
+    @pytest.mark.parametrize("grid", [[1e-3], [1e-3, 1e-3], []])
+    def test_fewer_than_two_distinct_eps(self, grid, monkeypatch):
+        # a slope needs two points; one eps gave slope 0.579 and R^2 = -inf,
+        # an empty grid an IndexError, both after the solves
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the grid was checked")
+        monkeypatch.setattr("mmfq.bench.solve_psi", no_solve)
+        with pytest.raises(ValueError, match="two distinct eps"):
+            run_case("1a", eps_grid=grid)
+
     def test_b_case_has_column_norms(self):
         result = run_case("3b", eps_grid=np.logspace(-4, -2, 5))
         assert result.e_oplus is None

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from mmfq import expand, solve_psi, solve_psi_at, validate_model
-from mmfq.bench import (CASE_IDS, R_PLUS, REFERENCE_ERRATA, REFERENCE_NORMS,
+from mmfq.bench import (CASE_IDS, CASE_M, R_PLUS, REFERENCE_ERRATA, REFERENCE_NORMS,
                         calibrate_rminus, case_generator, case_model,
                         default_eps_grid, error_norms)
 
@@ -159,8 +159,8 @@ def test_psi_accuracy_near_zero_drift(cid, drift, tol):
     # the case generators with r_minus calibrated to the drift: recurrent
     # below zero, transient above; the residual stays small either way,
     # so only the forward error shows whether digits were lost
-    m = 5
-    A = case_generator(cid, m)
+    m = CASE_M
+    A = case_generator(cid)
     r_minus = calibrate_rminus(A, R_PLUS, drift)
     c = np.concatenate([R_PLUS * np.ones(m), np.zeros(m), r_minus * np.ones(m)])
     sol = solve_psi(validate_model(A, c))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mmfq import (build_UK, solve_psi, solve_psi_at, stationary_phase_dist,
-                  validate_model, validate_perturbation)
+from mmfq import (solve_psi, solve_psi_at, stationary_phase_dist, validate_model,
+                  validate_perturbation)
 from mmfq.bench import case_model
 from mmfq.errors import EmptySide, InvalidEpsilon, NoConvergence
 from mmfq.numerics import stable_spectrum
@@ -74,13 +74,6 @@ class TestStructuralFacts:
         assert stable_spectrum(sol.K) is True
         assert sol.residual <= 1e-12
         assert 0.0 <= sol.psi.min() and sol.psi.max() <= 1.0 + 1e-12
-
-    def test_build_UK_matches_solution(self, case_1a):
-        model, _ = case_1a
-        sol = solve_psi(model)
-        U, K = build_UK(model, sol.psi)
-        assert np.array_equal(U, sol.U)
-        assert np.array_equal(K, sol.K)
 
     def test_fuzz_recurrent(self):
         from mmfq.riccati import check_structure
