@@ -6,8 +6,7 @@ from .core import (CensoredBlocks, FluidModel, PerturbationSpec,
                    stationary_phase_dist, validate_model,
                    validate_perturbation)
 from .riccati import PsiSolution, solve_psi, solve_psi_at
-from .perturb import (PsiExpansion, SeriesBlocks, expand, load_perturbation,
-                      psi1_generator)
+from .perturb import PsiExpansion, SeriesBlocks, expand, load_perturbation
 from .density import (FirstOrderLaw, StationaryLaw, density1_at, density_at,
                       first_order_law, stationary_law, zero_mass)
 from .simulate import (DensityEstimate, PsiEstimate, SimConfig,
@@ -23,7 +22,7 @@ __all__ = [
     "case_model", "censor_zero_phases", "density1_at", "density_at",
     "error_norms", "estimate_density", "estimate_psi", "expand",
     "first_order_law", "load_model", "load_perturbation", "mean_drift",
-    "psi1_generator", "run_case", "solve_psi", "solve_psi_at",
+    "run_case", "solve_psi", "solve_psi_at",
     "stationary_law", "stationary_phase_dist", "validate_model",
     "validate_perturbation", "zero_mass",
     "__version__",

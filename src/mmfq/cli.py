@@ -154,7 +154,7 @@ def cmd_density(args):
     if args.pert:
         spec = perturb.load_perturbation(args.pert, model)
         density.require_generator_kind(spec)
-        psi1 = perturb.psi1_generator(model, sol, spec.direction)
+        psi1 = perturb.expand(model, sol, spec).psi1
         fol = density.first_order_law(model, sol, spec.direction, psi1)
     xs = _grid(args.x, log=False)
     header = ["x"] + [f"pi_{lab}" for lab in model.labels]

@@ -1,4 +1,4 @@
-"""Fluid model definition, validation and censoring.
+"""Fluid model definition, validation, censoring and its first-order derivative.
 
 A model is a finite irreducible Markov phase process with generator ``A``
 together with a net fluid rate ``c_i`` per phase.  Phases are kept
@@ -135,6 +135,9 @@ def validate_model(A, c, labels=None) -> FluidModel:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise DimensionMismatch(f"{len(labels)} labels for {n} phases")
+        # labels name CSV columns and fields
+        if len(set(labels)) != n or any(ch in lab for lab in labels for ch in ',"\r\n'):
+            raise DimensionMismatch("labels must be distinct, with no comma, quote or line break")
 
     with np.errstate(over="ignore"):
         norm = _inf_norm(A)
@@ -197,6 +200,30 @@ def censor_zero_phases(model: FluidModel) -> CensoredBlocks:
         Q_pm=model.block(ip, im) + A_p0 @ N_m,
         Q_mp=model.block(im, ip) + A_m0 @ N_p,
         Q_mm=model.block(im, im) + A_m0 @ N_m)
+
+
+def qtilde_blocks(model: FluidModel, a_tilde: np.ndarray):
+    """First-order coefficient of the censored generator blocks.
+
+    Differentiating the censoring formula Q = A_cc + A_c0 (-A_00)^{-1} A_0c
+    (c the up and down phases) along the direction ``a_tilde`` (canonical
+    order) gives
+
+        Qt = At_cc + (At_c0 + R At_00) N_0c + R At_0c
+
+    with N_0c = (-A_00)^{-1} A_0c and R = A_c0 (-A_00)^{-1}.
+    """
+    i0 = model.i0
+    ic = np.concatenate([model.ip, model.im])
+    At = np.asarray(a_tilde, dtype=float)
+    neg_A00 = -model.block(i0, i0)
+    N_0c = solve_linear(neg_A00, model.block(i0, ic))
+    R = solve_linear(neg_A00.T, model.block(ic, i0).T).T
+    Qt = At.take(ic, 0).take(ic, 1) \
+        + (At.take(ic, 0).take(i0, 1) + R @ At.take(i0, 0).take(i0, 1)) @ N_0c \
+        + R @ At.take(i0, 0).take(ic, 1)
+    p = model.n_plus
+    return Qt[:p, :p], Qt[:p, p:], Qt[p:, :p], Qt[p:, p:]
 
 
 def validate_perturbation(model: FluidModel, kind: str, direction) -> PerturbationSpec:

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FluidModel, censor_zero_phases
+from .core import FluidModel, censor_zero_phases, qtilde_blocks
 from .errors import (Inconclusive, NotGeneratorKind, NotRecurrent, SingularNormalization,
                      SingularSystem)
 # conv_integral and matrix_exp stay bound because tracers wrap them here by name
 from .numerics import (ExpEvaluator, conv_integral, exp_evaluator, group_inverse,  # noqa: F401
                        matrix_exp, null_row_vector, solve_linear)
-from .perturb import qtilde_blocks
 from .riccati import PsiSolution
 from . import core
 
@@ -74,13 +73,12 @@ def _theta(model: FluidModel, psi: np.ndarray) -> np.ndarray:
     return _right_solve(B, -model.block(i0, i0))
 
 
-def _boundary_generator(model: FluidModel, psi: np.ndarray) -> np.ndarray:
-    """Generator of the phase process observed at level zero (down+zero phases)."""
+def _boundary_generator(model: FluidModel, block, psi: np.ndarray) -> np.ndarray:
+    """Generator S of the phase process observed at level zero (down+zero phases),
+    with ``block`` = ``model.block``; a direction's block reader gives the At terms of S1."""
     ip, i0, im = model.ip, model.i0, model.im
-    top = np.hstack([model.block(im, im) + model.block(im, ip) @ psi,
-                     model.block(im, i0)])
-    bottom = np.hstack([model.block(i0, im) + model.block(i0, ip) @ psi,
-                        model.block(i0, i0)])
+    top = np.hstack([block(im, im) + block(im, ip) @ psi, block(im, i0)])
+    bottom = np.hstack([block(i0, im) + block(i0, ip) @ psi, block(i0, i0)])
     return np.vstack([top, bottom])
 
 
@@ -109,7 +107,7 @@ def _law_factors(model: FluidModel, psi_sol: PsiSolution):
         raise NotRecurrent("mean drift is nonnegative")
     psi, K = psi_sol.psi, psi_sol.K
     theta = _theta(model, psi)
-    S = _boundary_generator(model, psi)
+    S = _boundary_generator(model, model.block, psi)
     try:
         v = null_row_vector(S)
     except SingularSystem as exc:
@@ -156,10 +154,12 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
                     a_tilde: np.ndarray, psi1: np.ndarray) -> FirstOrderLaw:
     """Derivatives of the stationary law along a generator direction.
 
-    ``a_tilde`` is the direction in canonical phase order (zero row sums).
-    The boundary-mass derivative solves the Poisson equation obtained by
-    differentiating the balance equations at level zero; the remaining
-    free constant is pinned by the derivative of the normalization.
+    ``a_tilde`` is the direction in canonical phase order (zero row sums)
+    and ``psi1`` is ``expand(...).psi1`` along it.  The boundary-mass
+    derivative solves the Poisson equation p1 S = -p S1 obtained by
+    differentiating the balance equations at level zero, with S1 from S's
+    builder read along ``a_tilde`` plus the psi1 term; the remaining free
+    constant is pinned by the derivative of the normalization.
     """
     theta, q, p_minus, p_zero, W, S, y = _law_factors(model, psi_sol)
     psi, K = psi_sol.psi, psi_sol.K
@@ -182,11 +182,8 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
 
     # Poisson equation for the boundary-mass derivative:
     # x S = -p S1 has solutions x = -p S1 S^# + const * p
-    S1 = np.vstack([
-        np.hstack([at(im, im) + at(im, ip) @ psi
-                   + model.block(im, ip) @ psi1, at(im, i0)]),
-        np.hstack([at(i0, im) + at(i0, ip) @ psi
-                   + model.block(i0, ip) @ psi1, at(i0, i0)])])
+    S1 = _boundary_generator(model, at, psi)
+    S1[:, :model.n_minus] += model.block(np.concatenate([im, i0]), ip) @ psi1
     p = np.concatenate([p_minus, p_zero])
     S_sharp = group_inverse(S, p / p.sum())
     p1_part = -(p @ S1) @ S_sharp

@@ -2,7 +2,7 @@
 
 :func:`expand` is the one entry point; it takes one of two routes:
 
-* generator direction ``A + eps*At`` (:func:`psi1_generator`),
+* generator direction ``A + eps*At``: one Sylvester solve in :func:`expand`,
 * rate direction, by the migration elimination: the zero-rate phases
   split by sign into a migrating-up and a migrating-down class.  Every
   regime runs it; ``spec.regime`` names the one at hand: ``general``
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (FluidModel, PerturbationSpec, censor_zero_phases,
-                   validate_perturbation)
+                   qtilde_blocks, validate_perturbation)
 from .errors import InnerRiccatiDiverged, InvalidPerturbation, NoConvergence
 from .numerics import solve_linear, solve_sylvester
 from .riccati import PsiSolution, newton_riccati
@@ -61,55 +61,14 @@ class SeriesBlocks:
     """
 
     u_m1_om_om: np.ndarray
-    u_m1_om_m: np.ndarray
     u_0_m_m: np.ndarray
     u_0_m_om: np.ndarray
-    u_0_om_om: np.ndarray
     k_m1_op_op: np.ndarray
     k_m1_op_p: np.ndarray
 
 
 def _inv(M: np.ndarray) -> np.ndarray:
     return solve_linear(M, np.eye(M.shape[0]))
-
-
-def qtilde_blocks(model: FluidModel, a_tilde: np.ndarray):
-    """First-order coefficient of the censored generator blocks.
-
-    Differentiating the censoring formula Q = A_cc + A_c0 (-A_00)^{-1} A_0c
-    (c the up and down phases) along the direction ``a_tilde`` (canonical
-    order) gives
-
-        Qt = At_cc + (At_c0 + R At_00) N_0c + R At_0c
-
-    with N_0c = (-A_00)^{-1} A_0c and R = A_c0 (-A_00)^{-1}.
-    """
-    i0 = model.i0
-    ic = np.concatenate([model.ip, model.im])
-    At = np.asarray(a_tilde, dtype=float)
-    neg_A00 = -model.block(i0, i0)
-    N_0c = solve_linear(neg_A00, model.block(i0, ic))
-    R = solve_linear(neg_A00.T, model.block(ic, i0).T).T
-    Qt = At.take(ic, 0).take(ic, 1) \
-        + (At.take(ic, 0).take(i0, 1) + R @ At.take(i0, 0).take(i0, 1)) @ N_0c \
-        + R @ At.take(i0, 0).take(ic, 1)
-    p = model.n_plus
-    return Qt[:p, :p], Qt[:p, p:], Qt[p:, :p], Qt[p:, p:]
-
-
-def psi1_generator(model: FluidModel, psi_sol: PsiSolution,
-                   a_tilde: np.ndarray) -> np.ndarray:
-    """Derivative of psi along a generator direction (canonical order).
-
-    Solves K X + X U = -C+^{-1} Qt_{+-} - C+^{-1} Qt_{++} psi
-                       - psi |C-^{-1}| Qt_{--} - psi |C-^{-1}| Qt_{-+} psi.
-    """
-    Qt_pp, Qt_pm, Qt_mp, Qt_mm = qtilde_blocks(model, a_tilde)
-    psi = psi_sol.psi
-    cp = model.c_plus[:, None]
-    psi_cm = psi / model.c_minus_abs[None, :]
-    rhs = -(Qt_pm / cp) - (Qt_pp / cp) @ psi - psi_cm @ Qt_mm - psi_cm @ Qt_mp @ psi
-    return solve_sylvester(psi_sol.K, psi_sol.U, rhs)
 
 
 def _eliminate(model: FluidModel, psi_sol: PsiSolution,
@@ -248,8 +207,8 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
         aux={"psi_op_om": psi_op_om, "psi_op_m": psi_op_m,
              "psi1_p_om": psi1_p_om, "psi1_op_om": psi1_op_om,
              "psi1_op_m": psi1_op_m, "psi2_p_om": psi2_p_om,
-             "series": SeriesBlocks(u_m1_om_om, u_m1_om_m, u_0_m_m, u_0_m_om,
-                                    u_0_om_om, k_m1_op_op, k_m1_op_p)})
+             "series": SeriesBlocks(u_m1_om_om, u_0_m_m, u_0_m_om,
+                                    k_m1_op_op, k_m1_op_p)})
 
 
 def expand(model: FluidModel, psi_sol: PsiSolution,
@@ -258,13 +217,21 @@ def expand(model: FluidModel, psi_sol: PsiSolution,
 
     The result's ``psi1`` is the first-order matrix and, for a rate
     direction, ``aux["series"]`` the Laurent-series blocks of U(eps) and
-    K(eps).
+    K(eps).  Along a generator direction, with Qt from ``qtilde_blocks``, psi1 solves
+
+        K X + X U = -C+^{-1} Qt_{+-} - C+^{-1} Qt_{++} psi
+                    - psi |C-^{-1}| Qt_{--} - psi |C-^{-1}| Qt_{-+} psi.
     """
     if spec.kind == "rate":
         return _eliminate(model, psi_sol, spec)
+    Qt_pp, Qt_pm, Qt_mp, Qt_mm = qtilde_blocks(model, spec.direction)
+    psi = psi_sol.psi
+    cp = model.c_plus[:, None]
+    psi_cm = psi / model.c_minus_abs[None, :]
+    rhs = -(Qt_pm / cp) - (Qt_pp / cp) @ psi - psi_cm @ Qt_mm - psi_cm @ Qt_mp @ psi
     return PsiExpansion(
-        regime=spec.regime, psi_bar=psi_sol.psi.copy(),
-        psi1=psi1_generator(model, psi_sol, spec.direction),
+        regime=spec.regime, psi_bar=psi.copy(),
+        psi1=solve_sylvester(psi_sol.K, psi_sol.U, rhs),
         row_phases=model.perm[model.ip], col_phases=model.perm[model.im])
 
 

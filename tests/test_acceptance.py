@@ -18,8 +18,8 @@ import math
 import numpy as np
 import pytest
 
-from mmfq import (expand, mean_drift, psi1_generator, solve_psi, solve_psi_at,
-                  validate_model, validate_perturbation)
+from mmfq import (expand, mean_drift, solve_psi, solve_psi_at, validate_model,
+                  validate_perturbation)
 from mmfq.bench import (CASE_IDS, CASE_TARGET_DRIFT, R_PLUS, REFERENCE_ERRATA,
                         REFERENCE_NORMS, calibrate_rminus, case_generator,
                         case_model, corrected_reference_norms, error_norms,
@@ -137,7 +137,7 @@ def test_criterion_5_structural_invariants():
             failures.append(f"model {k}: Riccati residual {sol.residual:.2e}")
         direction = validate_perturbation(
             model, "generator", random_generator_direction(model, rng))
-        X = psi1_generator(model, sol, direction.direction)
+        X = expand(model, sol, direction).psi1
         Qt_pp, Qt_pm, Qt_mp, Qt_mm = qtilde_blocks(model, direction.direction)
         cp = model.c_plus[:, None]
         psi_cm = sol.psi / model.c_minus_abs[None, :]
@@ -198,7 +198,7 @@ def test_criterion_6_finite_difference_oracles():
     spec = validate_perturbation(model, "generator",
                                  random_generator_direction(model, rng))
     sol = solve_psi(model)
-    psi1 = psi1_generator(model, sol, spec.direction)
+    psi1 = expand(model, sol, spec).psi1
     law = stationary_law(model, sol)
     fol = first_order_law(model, sol, spec.direction, psi1)
     for x in (0.5, 1.0, 2.0):

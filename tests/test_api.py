@@ -1,7 +1,9 @@
 """The public-name contract: ``mmfq.__all__`` lists exactly these names and
 every one of them resolves; so does every library attribute that the
-benchmark's tracer wraps, and the README's quick start runs."""
+benchmark's tracer wraps, and the README's quick start runs.  Each module
+imports from the package only the modules of its row in ``IMPORTS``."""
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -15,11 +17,28 @@ PUBLIC_NAMES = [
     "case_model", "censor_zero_phases", "density1_at", "density_at",
     "error_norms", "estimate_density", "estimate_psi", "expand",
     "first_order_law", "load_model", "load_perturbation", "mean_drift",
-    "psi1_generator", "run_case", "solve_psi", "solve_psi_at",
+    "run_case", "solve_psi", "solve_psi_at",
     "stationary_law", "stationary_phase_dist", "validate_model",
     "validate_perturbation", "zero_mass",
     "__version__",
 ]
+
+
+# the layers: errors, numerics, core (the model, its censoring and the
+# censoring's derivative), riccati, then perturb and density side by side,
+# then bench, simulate and cli
+IMPORTS = {
+    "__init__": {"bench", "core", "density", "perturb", "riccati", "simulate"},
+    "bench": {"core", "errors", "perturb", "riccati"},
+    "cli": {"bench", "core", "density", "errors", "perturb", "riccati", "simulate"},
+    "core": {"errors", "numerics"},
+    "density": {"core", "errors", "numerics", "riccati"},
+    "errors": set(),
+    "numerics": {"errors"},
+    "perturb": {"core", "errors", "numerics", "riccati"},
+    "riccati": {"core", "errors", "numerics"},
+    "simulate": {"core", "errors"},
+}
 
 
 def test_all_is_the_public_contract():
@@ -53,3 +72,17 @@ def test_readme_quick_start_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["sol"].residual <= 1e-12
     assert namespace["expansion"].psi1.shape == namespace["direct"].psi.shape
+
+
+def test_import_layering():
+    src = Path(__file__).resolve().parents[1] / "src" / "mmfq"
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    found = {}
+    for name, tree in trees.items():
+        found[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # "from .core import x" names a module; "from . import x" may not
+                found[name] |= {node.module.split(".")[0]} if node.module \
+                    else {alias.name for alias in node.names} & trees.keys()
+    assert found == IMPORTS

@@ -47,6 +47,12 @@ class TestBuilders:
         assert xi[5:10].sum() > xi[:5].sum()
         assert xi[5:10].sum() > xi[10:].sum()
 
+    @pytest.mark.parametrize("build", [build_mm1n, build_alternating])
+    @pytest.mark.parametrize("m, a, b", [(0, 1.0, 1.0), (1, 0.0, 1.0), (1, 1.0, -1.0)])
+    def test_bad_arguments(self, build, m, a, b):
+        with pytest.raises(ValueError, match="m >= 1 and positive rates required"):
+            build(m, a, b)
+
 
 class TestCalibration:
     @pytest.mark.parametrize("case,expected", [

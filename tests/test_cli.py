@@ -416,6 +416,11 @@ MALFORMED_INPUTS = [
     malformed("labels-object", ["validate", "{m}"], 1, "DimensionMismatch",
               model='{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [1.0, -2.0], '
                     '"labels": {"x": 1, "y": 2}}'),
+    # these wrote a CSV header with repeated columns, or rows with more fields than it
+    malformed("labels-duplicate", ["density", "{m}", "--x", "0:1:3"], 1, "DimensionMismatch",
+              model=QUICK_START[:-1] + ', "labels": ["a", "a", "a"]}'),
+    malformed("labels-comma", ["psi", "{m}"], 1, "DimensionMismatch",
+              model=QUICK_START[:-1] + ', "labels": ["up,1", "mid\\nx", "down"]}'),
     malformed("model-1d-A", ["psi", "{m}"], 1, "DimensionMismatch",
               model='{"A": [-1.0, 1.0], "c": [1.0, -2.0]}'),
     malformed("model-scalar-c", ["psi", "{m}"], 1, "DimensionMismatch",

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mmfq import psi1_generator, solve_psi, validate_model, validate_perturbation
+from mmfq import expand, solve_psi, validate_model, validate_perturbation
 from mmfq.bench import case_model
 from mmfq.density import (density1_at, density_at, first_order_law,
                           stationary_law, zero_mass)
@@ -26,7 +26,7 @@ def laws(model, direction):
     """Solution, psi1, stationary law and first-order law along ``direction``."""
     sol = solve_psi(model)
     spec = validate_perturbation(model, "generator", direction)
-    psi1 = psi1_generator(model, sol, spec.direction)
+    psi1 = expand(model, sol, spec).psi1
     return (sol, psi1, stationary_law(model, sol),
             first_order_law(model, sol, spec.direction, psi1))
 
@@ -159,7 +159,7 @@ class TestFirstOrder:
         spec = validate_perturbation(
             model, "generator", random_generator_direction(model, rng))
         sol = solve_psi(model)
-        psi1 = psi1_generator(model, sol, spec.direction)
+        psi1 = expand(model, sol, spec).psi1
         return model, spec, sol, psi1
 
     def test_zero_direction_gives_zero_law(self, two_phase):
@@ -217,7 +217,7 @@ class TestFirstOrder:
         fol = first_order_law(model, sol, spec.direction, psi1)
         At = spec.direction
         ip, i0, im = model.ip, model.i0, model.im
-        S = _boundary_generator(model, sol.psi)
+        S = _boundary_generator(model, model.block, sol.psi)
         S1 = np.vstack([
             np.hstack([At[np.ix_(im, im)] + At[np.ix_(im, ip)] @ sol.psi
                        + model.block(im, ip) @ psi1, At[np.ix_(im, i0)]]),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mmfq import (censor_zero_phases, expand, psi1_generator, solve_psi,
-                  solve_psi_at, validate_model, validate_perturbation)
+from mmfq import (censor_zero_phases, expand, solve_psi, solve_psi_at,
+                  validate_model, validate_perturbation)
 from mmfq.numerics import stable_spectrum, sylvester_residual
 from mmfq.perturb import qtilde_blocks
 from mmfq.bench import error_norms
@@ -52,14 +52,16 @@ class TestQtilde:
 class TestGeneratorDirection:
     def test_zero_direction(self, two_phase):
         sol = solve_psi(two_phase)
-        out = psi1_generator(two_phase, sol, np.zeros((2, 2)))
+        spec = validate_perturbation(two_phase, "generator", np.zeros((2, 2)))
+        out = expand(two_phase, sol, spec).psi1
         assert np.array_equal(out, np.zeros((1, 1)))
 
     def test_two_phase_stays_certain(self, two_phase):
         # psi(eps) is identically one for recurrent two-phase models
         sol = solve_psi(two_phase)
-        out = psi1_generator(two_phase, sol,
-                             np.array([[-0.5, 0.5], [0.25, -0.25]]))
+        spec = validate_perturbation(two_phase, "generator",
+                                     [[-0.5, 0.5], [0.25, -0.25]])
+        out = expand(two_phase, sol, spec).psi1
         assert np.abs(out).max() < 1e-13
 
     def test_finite_difference(self):

@@ -19,6 +19,9 @@ class TestConfig:
             SimConfig(replications=0, seed=1)
         with pytest.raises(ValueError):
             SimConfig(replications=10, seed=1, max_time=0.0)
+        for burn_in in (-1.0, 10.0):
+            with pytest.raises(ValueError, match=r"burn_in must lie in \[0, max_time\)"):
+                SimConfig(replications=10, seed=1, max_time=10.0, burn_in=burn_in)
 
     @pytest.mark.parametrize("max_time", [np.inf, np.nan])
     def test_max_time_must_be_finite(self, max_time):
