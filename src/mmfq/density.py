@@ -139,8 +139,10 @@ def density_at(law: StationaryLaw, psi: np.ndarray, model: FluidModel,
                x: float) -> np.ndarray:
     """Stationary density vector at level x >= 0, in original phase order.
 
-    ``psi`` and ``model`` must be the ones ``law`` was built from.  Raises
-    ``Inconclusive`` where exp(K x) is not finite in double precision.
+    The row comes from what ``law`` holds; ``psi`` and ``model`` are never
+    read.  They stay because the benchmark harness passes them positionally,
+    until the harness changes.  Raises ``Inconclusive`` where exp(K x) is
+    not finite in double precision.
     """
     return _propagate(law.q, law.exp_K, law.W, x)
 
@@ -211,8 +213,10 @@ def density1_at(fol: FirstOrderLaw, law: StationaryLaw, model: FluidModel,
 
     The row is a [0 | psi1 |C-|^{-1} | Theta1] + b [C+^{-1} | psi |C-|^{-1} | Theta]
     with [a, b] = [q e^{Kx}, q1 e^{Kx} + q L1(x)] = [q, q1] exp([[K, K1], [0, K]] x).
-    ``law``, ``model``, ``psi`` and ``psi1`` must be the ones ``fol`` was
-    built from.  Raises ``Inconclusive`` where the exponential is not finite.
+    The row comes from what ``fol`` holds; ``law``, ``model``, ``psi`` and
+    ``psi1`` are never read.  They stay because the benchmark harness passes
+    them positionally, until the harness changes.  Raises ``Inconclusive``
+    where the exponential is not finite.
     """
     return _propagate(fol.v, fol.exp_G, fol.W1, x)
 

@@ -19,6 +19,12 @@ PIVOT_RTOL = 1e-14
 SPECTRAL_MARGIN = 1e-8
 NULL_RTOL = 1e-10
 
+# the double-precision LAPACK kernels, bound once
+_getrf, _getrs, _gees, _trsyl = get_lapack_funcs(
+    ("getrf", "getrs", "gees", "trsyl"), (np.zeros((1, 1)),))
+# optimal gees workspace per order n: LAPACK sizes it from n alone
+_GEES_LWORK: dict[int, int] = {}
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float array, rejecting NaN/Inf entries."""
@@ -40,8 +46,9 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 
 
 def _inf_norm(X: np.ndarray):
-    """Largest absolute row sum: the reduction of numpy's matrix inf-norm."""
-    return np.abs(X).sum(axis=1).max(initial=0.0)
+    """Largest absolute row sum: the reduction of numpy's matrix inf-norm,
+    as the ufunc reductions that ``sum`` and ``max`` wrap."""
+    return np.maximum.reduce(np.add.reduce(np.abs(X), 1), initial=0.0)
 
 
 def solve_linear(M: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -59,20 +66,22 @@ def solve_linear(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     if M.size == 0:
         return np.zeros_like(B)
     scale = _inf_norm(M)
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (M,))
-    lu, piv, _ = getrf(M)
+    lu, piv, _ = _getrf(M)
     pivots = np.abs(np.diag(lu))
     if scale == 0.0 or pivots.min() < PIVOT_RTOL * scale:
         raise Singular(f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * {scale:.3e}")
-    return getrs(lu, piv, B)[0]
+    return _getrs(lu, piv, B)[0]
 
 
 def _real_schur(M: np.ndarray):
     """Real Schur form M = Z T Z^T and the eigenvalues of M from one LAPACK
-    ``gees`` call, after the workspace query ``scipy.linalg.schur`` makes."""
-    gees, = get_lapack_funcs(("gees",), (M,))
-    lwork = int(gees(lambda x, y: None, M, lwork=-1)[-2][0])
-    T, _, wr, wi, Z, _, info = gees(lambda x, y: None, M, lwork=lwork)
+    ``gees`` call, with the optimal workspace ``scipy.linalg.schur`` queries
+    (from n = 75 on, multishift QR's T depends on it); the query runs once
+    per order."""
+    n = len(M)
+    if n not in _GEES_LWORK:
+        _GEES_LWORK[n] = int(_gees(lambda x, y: None, M, lwork=-1)[-2][0])
+    T, _, wr, wi, Z, _, info = _gees(lambda x, y: None, M, lwork=_GEES_LWORK[n])
     if info != 0:
         raise NoConvergence(f"LAPACK gees found no Schur form (info {info})")
     return T, Z, wr + 1j * wi
@@ -96,12 +105,11 @@ def sylvester_solver(K: np.ndarray, U: np.ndarray):
     gap = np.abs(lam_K[:, None] + lam_U).min()
     if scale == 0.0 or gap < PIVOT_RTOL * scale:
         raise Singular(f"spectral gap {gap:.3e} below {PIVOT_RTOL:.0e} * {scale:.3e}")
-    trsyl, = get_lapack_funcs(("trsyl",), (T, S))
 
     def solve(H: np.ndarray) -> np.ndarray:
         # T Y + Y S^T = factor * Q^T H Z; the gap check covers trsyl's info
-        Y, factor, _ = trsyl(T, S, Q.T @ H @ Z, tranb="T")
-        return Q @ (Y / factor) @ Z.T
+        Y, factor, _ = _trsyl(T, S, Q.T.dot(H).dot(Z), tranb="T")
+        return Q.dot(Y / factor).dot(Z.T)
 
     return solve
 

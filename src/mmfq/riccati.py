@@ -58,9 +58,11 @@ class PsiSolution:
 
 
 def _residual(Qd, Qa, Mu, Mb, c, Y):
-    """C F(Y) = Qd + Qa Y + C Y (Mu + Mb Y), ``c`` a column, from the blocks
-    themselves: C (C^{-1} Q) would round away digits where a rate is tiny."""
-    return Qd + Qa @ Y + c * (Y @ (Mu + Mb @ Y))
+    """C F(Y) = Qd + Qa Y + C Y U and U = Mu + Mb Y, ``c`` a column, from the
+    blocks themselves: C (C^{-1} Q) would round away digits where a rate is
+    tiny.  U is the right coefficient of the Newton step from Y."""
+    U = Mu + Mb.dot(Y)
+    return Qd + Qa.dot(Y) + c * Y.dot(U), U
 
 
 def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
@@ -89,20 +91,21 @@ def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
     scale = max(float(np.abs(m).max()) for m in (Qd, Qa, Mu, Mb))
     # scaled residuals below this are double-precision evaluation noise
     floor = FLOOR_FACTOR * np.finfo(float).eps * max(scale, 1.0) * max(p, q)
-    H = _residual(Qd, Qa, Mu, Mb, c, X)
+    H, U = _residual(Qd, Qa, Mu, Mb, c, X)
     hres = _inf_norm(H)
-    res = _inf_norm(H / c)
+    F = H / c
+    res = _inf_norm(F)
     history = [res]
     iterations = 0
     while res > tol and iterations < max_newton:
-        new_X = X + sylvester_solver(Ma + X @ Mb, Mu + Mb @ X)(-H / c)
-        new_H = _residual(Qd, Qa, Mu, Mb, c, new_X)
+        new_X = X + sylvester_solver(Ma + X.dot(Mb), U)(-F)
+        new_H, new_U = _residual(Qd, Qa, Mu, Mb, c, new_X)
         new_hres = _inf_norm(new_H)
         # above the floor a full step may raise ||C F|| while X still rises
         if new_hres >= hres and hres <= floor:
             break  # stagnated at the arithmetic floor
-        X, H, hres = new_X, new_H, new_hres
-        res = _inf_norm(H / c)
+        X, U, hres, F = new_X, new_U, new_hres, new_H / c
+        res = _inf_norm(F)
         history.append(res)
         iterations += 1
     if res > tol and hres > floor:
@@ -112,8 +115,8 @@ def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
 
 
 def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb):
-    """One Newton step from X on a shifted equation: the new X and its
-    residual.  (The name is older than the method; tracers wrap it.)
+    """One Newton step from X on a shifted equation: the new X, its residual
+    and U = Mu + Mb X.  (The name is older than the method; tracers wrap it.)
 
     Near zero drift spec(K) nearly touches spec(-U), and X is far less
     accurate than its residual says.  A rank-one shift keeps psi a root and
@@ -130,17 +133,18 @@ def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb):
     z_p, z_m = xi[model.ip] * model.c_plus, xi[model.im] * model.c_minus_abs
 
     eq = (blocks.Q_pm, blocks.Q_pp, Mu, Mb, cp)
+    H, U = _residual(*eq, X)
     if z_p.sum() < z_m.sum():
         shift = np.abs(np.diag(Mu)).max() / X.shape[1]
-        U = Mu - shift + Mb @ X
-        H = _residual(*eq, X) + cp * (shift * (1.0 - X.sum(axis=1)))[:, None]
+        U = Mu - shift + Mb.dot(X)
+        H = H + cp * (shift * (1.0 - X.sum(axis=1)))[:, None]
     else:
         shift = np.abs(np.diag(Ma)).max() / z_p.sum()
         Ma = Ma - shift * z_p
-        U = Mu + Mb @ X
-        H = _residual(*eq, X) - cp * (shift * (z_p @ X - z_m))
-    X = X + sylvester_solver(Ma + X @ Mb, U)(-H / cp)
-    return X, float(_inf_norm(_residual(*eq, X) / cp))
+        H = H - cp * (shift * (z_p @ X - z_m))
+    X = X + sylvester_solver(Ma + X.dot(Mb), U)(-H / cp)
+    H, U = _residual(*eq, X)
+    return X, float(_inf_norm(H / cp)), U
 
 
 def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
@@ -162,10 +166,11 @@ def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
     X, iterations, history = newton_riccati(
         blocks.Q_pm, blocks.Q_pp, Mu, Mb, model.c_plus, tol, max_newton)
     if tol <= REFINE_THRESHOLD:
-        X, res = _defect_correct(model, blocks, X, Ma, Mu, Mb)
+        X, res, U = _defect_correct(model, blocks, X, Ma, Mu, Mb)
         history = history[:-1] + (res,)
-    U = Mu + Mb @ X
-    K = Ma + X @ Mb
+    else:
+        U = Mu + Mb.dot(X)
+    K = Ma + X.dot(Mb)
     return PsiSolution(psi=X, U=U, K=K, iterations=iterations,
                        residual=history[-1], residual_history=history,
                        in_unit_box=bool(X.min() >= -1e-12 and X.max() <= 1.0 + 1e-12))

@@ -142,17 +142,10 @@ def case_1a():
 
 @pytest.fixture
 def gees_fails(monkeypatch):
-    """Make every LAPACK ``gees`` that ``mmfq.numerics`` calls report
-    info = 1, as when its QR iteration does not converge."""
+    """Make the LAPACK ``gees`` handle that ``mmfq.numerics`` binds at import
+    report info = 1, as when its QR iteration does not converge."""
     from mmfq import numerics
 
-    lapack = numerics.get_lapack_funcs
-
-    def patched(names, arrays=()):
-        funcs = lapack(names, arrays)
-        if names != ("gees",):
-            return funcs
-        gees, = funcs
-        return (lambda *args, **kwargs: gees(*args, **kwargs)[:-1] + (1,),)
-
-    monkeypatch.setattr(numerics, "get_lapack_funcs", patched)
+    gees = numerics._gees
+    monkeypatch.setattr(numerics, "_gees",
+                        lambda *args, **kwargs: gees(*args, **kwargs)[:-1] + (1,))

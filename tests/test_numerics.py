@@ -178,6 +178,16 @@ def test_real_schur_matches_scipy(n):
     assert np.abs(lam[rows] - ref[cols]).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 38, 75, 80, 120, 200, 300])
+def test_gees_workspace_table_matches_live_query(n):
+    # _real_schur queries the optimal gees workspace once per order; LAPACK
+    # sizes it from n alone, so any n x n matrix gives the same answer
+    numerics._real_schur(np.zeros((n, n)))
+    M = np.random.default_rng(n).normal(size=(n, n))
+    gees, = scipy.linalg.get_lapack_funcs(("gees",), (M,))
+    assert numerics._GEES_LWORK[n] == int(gees(lambda x, y: None, M, lwork=-1)[-2][0])
+
+
 class TestMatrixExp:
     def test_zero(self):
         assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))

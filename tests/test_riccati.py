@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 
 from mmfq import (solve_psi, solve_psi_at, stationary_phase_dist, validate_model,
                   validate_perturbation)
-from mmfq.bench import case_model
+from mmfq.bench import CASE_IDS, case_model
+from mmfq.core import censor_zero_phases
 from mmfq.errors import EmptySide, InvalidEpsilon, NoConvergence
 from mmfq.numerics import stable_spectrum
-from mmfq.riccati import newton_riccati
+from mmfq.riccati import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, FLOOR_FACTOR,
+                          newton_riccati, perturbed_model)
 
 from conftest import oracle_psi, random_generator, random_recurrent_model
 
@@ -147,6 +150,106 @@ class TestNewtonBehaviour:
         model, _ = case_1a
         with pytest.raises(ValueError, match="tol"):
             solve_psi(model, tol=tol)
+
+
+def _reference_newton(Qd, Qa, Mu, Mb, c, tol=DEFAULT_TOL, max_newton=DEFAULT_MAX_NEWTON):
+    """The Newton loop written out plainly: each step forms Mu + Mb X and
+    divides the residual by c where it uses them, and each Sylvester solve
+    queries the gees workspace and binds its LAPACK handles anew."""
+    def inf_norm(Y):
+        return np.abs(Y).sum(axis=1).max(initial=0.0)
+
+    def schur(M):
+        gees, = get_lapack_funcs(("gees",), (M,))
+        lwork = int(gees(lambda x, y: None, M, lwork=-1)[-2][0])
+        T, _, _, _, Z, _, _ = gees(lambda x, y: None, M, lwork=lwork)
+        return T, Z
+
+    def sylvester(K, U, H):
+        (T, Q), (S, Z) = schur(K), schur(U.T)
+        trsyl, = get_lapack_funcs(("trsyl",), (T, S))
+        Y, factor, _ = trsyl(T, S, Q.T @ H @ Z, tranb="T")
+        return Q @ (Y / factor) @ Z.T
+
+    def residual(Y):
+        return Qd + Qa @ Y + c * (Y @ (Mu + Mb @ Y))
+
+    p, q = Qd.shape
+    X = np.zeros((p, q))
+    c = np.asarray(c, dtype=float)[:, None]
+    Ma = Qa / c
+    scale = max(float(np.abs(m).max()) for m in (Qd, Qa, Mu, Mb))
+    floor = FLOOR_FACTOR * np.finfo(float).eps * max(scale, 1.0) * max(p, q)
+    H = residual(X)
+    hres = inf_norm(H)
+    res = inf_norm(H / c)
+    history = [res]
+    iterations = 0
+    while res > tol and iterations < max_newton:
+        new_X = X + sylvester(Ma + X @ Mb, Mu + Mb @ X, -H / c)
+        new_H = residual(new_X)
+        new_hres = inf_norm(new_H)
+        if new_hres >= hres and hres <= floor:
+            break
+        X, H, hres = new_X, new_H, new_hres
+        res = inf_norm(H / c)
+        history.append(res)
+        iterations += 1
+    return X, iterations, tuple(history)
+
+
+def _newton_inputs(model):
+    """The arguments solve_psi hands to newton_riccati."""
+    blocks = censor_zero_phases(model)
+    cm = model.c_minus_abs[:, None]
+    return (blocks.Q_pm, blocks.Q_pp, blocks.Q_mm / cm, blocks.Q_mp / cm,
+            model.c_plus)
+
+
+def _general_inner_inputs():
+    """The inner (op, om) Riccati of a general-regime rate direction, with
+    the arguments perturb.expand builds."""
+    rng = np.random.default_rng(43)
+    signs = np.repeat([1, 0, -1], [3, 6, 3])
+    model = random_recurrent_model(12, rng, signs=signs)
+    ct = np.zeros(12)
+    ct[model.perm[model.i0]] = [0.7, -0.5, 0.9, -0.8, 0.6, -1.1]
+    spec = validate_perturbation(model, "rate", ct)
+    assert spec.regime == "general"
+    io_p, io_m = spec.oplus, spec.ominus
+    ct_om = np.abs(spec.direction[io_m])[:, None]
+    return (model.block(io_p, io_m), model.block(io_p, io_p),
+            model.block(io_m, io_m) / ct_om, model.block(io_m, io_p) / ct_om,
+            spec.direction[io_p])
+
+
+def _assert_same_newton(args):
+    X, iterations, history = newton_riccati(*args)
+    X_ref, iterations_ref, history_ref = _reference_newton(*args)
+    assert X.tobytes() == X_ref.tobytes()
+    assert iterations == iterations_ref and history == history_ref
+
+
+class TestNewtonMatchesReference:
+    """The Newton loop reuses U = Mu + Mb X and C^{-1} C F from its residual
+    and calls bound LAPACK handles; every iterate stays bit-identical."""
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_sweep_cells(self, case_id):
+        model, spec = case_model(case_id)
+        for eps in np.logspace(-4, -2, 20):
+            _assert_same_newton(_newton_inputs(perturbed_model(model, spec, float(eps))))
+
+    def test_random_recurrent_models(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(50):
+            model = random_recurrent_model(int(rng.integers(2, 16)), rng)
+            _assert_same_newton(_newton_inputs(model))
+
+    def test_general_regime_inner_riccati(self):
+        args = _general_inner_inputs()
+        assert args[0].shape == (3, 3)
+        _assert_same_newton(args)
 
 
 class TestNewtonRiccati:
