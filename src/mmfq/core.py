@@ -135,8 +135,8 @@ def validate_model(A, c, labels=None) -> FluidModel:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise DimensionMismatch(f"{len(labels)} labels for {n} phases")
-        # labels name CSV columns and fields; each banned character is one
-        # character, so a scan of all labels joined finds it in one of them
+        # labels name CSV columns and fields; the banned characters are
+        # single, so the joined labels hold one only where a label does
         joined = "".join(labels)
         if len(set(labels)) != n or any(ch in joined for ch in ',"\r\n'):
             raise DimensionMismatch("labels must be distinct, with no comma, quote or line break")
