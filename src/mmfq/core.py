@@ -77,12 +77,14 @@ class FluidModel:
 
 @dataclass(frozen=True)
 class CensoredBlocks:
-    """Generator blocks on the non-zero-rate phases after censoring."""
+    """Generator blocks on the non-zero-rate phases after censoring, and
+    ``inv0`` = (-A_00)^{-1}, the one factorization of the zero-rate block."""
 
     Q_pp: np.ndarray
     Q_pm: np.ndarray
     Q_mp: np.ndarray
     Q_mm: np.ndarray
+    inv0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -190,21 +192,28 @@ def censor_zero_phases(model: FluidModel) -> CensoredBlocks:
     """
     ip, i0, im = model.ip, model.i0, model.im
     try:
-        # N = (-A_00)^{-1} applied to the outgoing rows, up columns first
+        # (-A_00)^{-1} applied to the outgoing rows, up columns first, and to I
         N_rows = solve_linear(-model.block(i0, i0),
-                              model.block(i0, np.concatenate([ip, im])))
+                              np.hstack([model.block(i0, np.concatenate([ip, im])),
+                                         np.eye(model.n_zero)]))
     except Singular as exc:
         raise SingularBlock("zero-rate block is singular") from exc
-    N_p, N_m = N_rows[:, :model.n_plus], N_rows[:, model.n_plus:]
+    N_p, N_m, inv0 = np.split(N_rows, [model.n_plus, model.n_plus + model.n_minus], axis=1)
     A_p0, A_m0 = model.block(ip, i0), model.block(im, i0)
     return CensoredBlocks(
         Q_pp=model.block(ip, ip) + A_p0 @ N_p,
         Q_pm=model.block(ip, im) + A_p0 @ N_m,
         Q_mp=model.block(im, ip) + A_m0 @ N_p,
-        Q_mm=model.block(im, im) + A_m0 @ N_m)
+        Q_mm=model.block(im, im) + A_m0 @ N_m, inv0=inv0)
 
 
 def qtilde_blocks(model: FluidModel, a_tilde: np.ndarray):
+    """Qt_pp, Qt_pm, Qt_mp, Qt_mm of :func:`_qtilde` along ``a_tilde``, from a
+    censoring formed here; the library reuses its ``PsiSolution.blocks``."""
+    return _qtilde(model, censor_zero_phases(model), a_tilde)
+
+
+def _qtilde(model: FluidModel, blocks: CensoredBlocks, a_tilde: np.ndarray):
     """First-order coefficient of the censored generator blocks.
 
     Differentiating the censoring formula Q = A_cc + A_c0 (-A_00)^{-1} A_0c
@@ -213,14 +222,14 @@ def qtilde_blocks(model: FluidModel, a_tilde: np.ndarray):
 
         Qt = At_cc + (At_c0 + R At_00) N_0c + R At_0c
 
-    with N_0c = (-A_00)^{-1} A_0c and R = A_c0 (-A_00)^{-1}.
+    with N_0c = (-A_00)^{-1} A_0c and R = A_c0 (-A_00)^{-1}, both products
+    with the censoring's ``blocks.inv0``.
     """
     i0 = model.i0
     ic = np.concatenate([model.ip, model.im])
     At = np.asarray(a_tilde, dtype=float)
-    neg_A00 = -model.block(i0, i0)
-    N_0c = solve_linear(neg_A00, model.block(i0, ic))
-    R = solve_linear(neg_A00.T, model.block(ic, i0).T).T
+    N_0c = blocks.inv0 @ model.block(i0, ic)
+    R = model.block(ic, i0) @ blocks.inv0
     Qt = At.take(ic, 0).take(ic, 1) \
         + (At.take(ic, 0).take(i0, 1) + R @ At.take(i0, 0).take(i0, 1)) @ N_0c \
         + R @ At.take(i0, 0).take(ic, 1)

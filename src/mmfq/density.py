@@ -5,8 +5,9 @@ pi(x) = q exp(K x) W, with W = [ C+^{-1} | psi |C-|^{-1} | Theta ], and the
 mass at level zero sits on the down and zero phases only.  Differentiating
 every factor along a generator direction gives pi1(x) = [q, q1] exp(G x) W1
 with G = [[K, K1], [0, K]] (Van Loan, 1978) and W1 = [[0 | psi1 |C-|^{-1} |
-Theta1]; W]; the boundary-mass derivative solves a Poisson equation through
-the group inverse of the boundary generator.  ``StationaryLaw`` holds W and
+Theta1]; W]; Theta and Theta1 are products with the censoring's (-A_00)^{-1},
+and the boundary-mass derivative differentiates the bordered system that
+gives the boundary masses.  ``StationaryLaw`` holds W and
 ``FirstOrderLaw`` G, [q, q1] and W1, with columns in the caller's phase order,
 and each holds an evaluator of exp(K x) or exp(G x) with the powers and norms
 of its exponent: all are built once per law, so a level costs one Taylor step.
@@ -18,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FluidModel, censor_zero_phases, qtilde_blocks
+# censor_zero_phases, conv_integral and matrix_exp stay bound because tracers
+# wrap them here by name
+from .core import FluidModel, censor_zero_phases  # noqa: F401
 from .errors import (Inconclusive, NotGeneratorKind, NotRecurrent, SingularNormalization,
                      SingularSystem)
-# conv_integral and matrix_exp stay bound because tracers wrap them here by name
-from .numerics import (ExpEvaluator, conv_integral, exp_evaluator, group_inverse,  # noqa: F401
+from .numerics import (ExpEvaluator, conv_integral, exp_evaluator,  # noqa: F401
                        matrix_exp, null_row_vector, solve_linear)
 from .riccati import PsiSolution
 from . import core
@@ -60,17 +62,12 @@ class FirstOrderLaw:
     exp_G: ExpEvaluator
 
 
-def _right_solve(B: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """X with X M = B."""
-    return solve_linear(M.T, B.T).T
-
-
-def _theta(model: FluidModel, psi: np.ndarray) -> np.ndarray:
-    """Zero-phase column factor (C+^{-1} A_{+0} + psi |C-^{-1}| A_{-0}) (-A_00)^{-1}."""
+def _theta(model: FluidModel, psi: np.ndarray, inv0: np.ndarray) -> np.ndarray:
+    """Zero-phase column factor (C+^{-1} A_{+0} + psi |C-^{-1}| A_{-0}) (-A_00)^{-1},
+    with ``inv0`` = (-A_00)^{-1}."""
     ip, i0, im = model.ip, model.i0, model.im
-    B = model.block(ip, i0) / model.c_plus[:, None] \
-        + (psi / model.c_minus_abs[None, :]) @ model.block(im, i0)
-    return _right_solve(B, -model.block(i0, i0))
+    return (model.block(ip, i0) / model.c_plus[:, None]
+            + (psi / model.c_minus_abs[None, :]) @ model.block(im, i0)) @ inv0
 
 
 def _boundary_generator(model: FluidModel, block, psi: np.ndarray) -> np.ndarray:
@@ -106,7 +103,7 @@ def _law_factors(model: FluidModel, psi_sol: PsiSolution):
     if core.mean_drift(model) >= 0:
         raise NotRecurrent("mean drift is nonnegative")
     psi, K = psi_sol.psi, psi_sol.K
-    theta = _theta(model, psi)
+    theta = _theta(model, psi, psi_sol.blocks.inv0)
     S = _boundary_generator(model, model.block, psi)
     try:
         v = null_row_vector(S)
@@ -157,14 +154,15 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
     """Derivatives of the stationary law along a generator direction.
 
     ``a_tilde`` is the direction in canonical phase order (zero row sums)
-    and ``psi1`` is ``expand(...).psi1`` along it.  The boundary-mass
-    derivative solves the Poisson equation p1 S = -p S1 obtained by
-    differentiating the balance equations at level zero, with S1 from S's
-    builder read along ``a_tilde`` plus the psi1 term; the remaining free
-    constant is pinned by the derivative of the normalization.
+    and ``psi1`` is ``expand(...).psi1`` along it.  K1 and Theta1 come from
+    the censoring that ``psi_sol`` holds.  The boundary masses are p = s v,
+    with v B = [0, ..., 0, 1] for B the boundary generator S with its last
+    column set to ones, and s = 1/(1 + q_v y).  Differentiating gives
+    v1 B = -v B1, with B1 = S1 (S's builder read along ``a_tilde`` plus the
+    psi1 term) with its last column zero, and the product rule on s.
     """
     theta, q, p_minus, p_zero, W, S, y = _law_factors(model, psi_sol)
-    psi, K = psi_sol.psi, psi_sol.K
+    psi, K, blocks = psi_sol.psi, psi_sol.K, psi_sol.blocks
     ip, i0, im = model.ip, model.i0, model.im
     cp = model.c_plus[:, None]
     psi_cm = psi / model.c_minus_abs[None, :]
@@ -174,30 +172,24 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
     def at(rows, cols):  # a C-ordered block of At, as model.block is of A
         return At.take(rows, 0).take(cols, 1)
 
-    blocks = censor_zero_phases(model)
-    Qt_pp, _, Qt_mp, _ = qtilde_blocks(model, At)
+    Qt_pp, _, Qt_mp, _ = core._qtilde(model, blocks, At)
     K1 = Qt_pp / cp + psi1_cm @ blocks.Q_mp + psi_cm @ Qt_mp
+    Theta1 = (at(ip, i0) / cp + psi1_cm @ model.block(im, i0)
+              + psi_cm @ at(im, i0) + theta @ at(i0, i0)) @ blocks.inv0
 
-    inner = at(ip, i0) / cp + psi1_cm @ model.block(im, i0) \
-        + psi_cm @ at(im, i0) + theta @ at(i0, i0)
-    Theta1 = _right_solve(inner, -model.block(i0, i0))
-
-    # Poisson equation for the boundary-mass derivative:
-    # x S = -p S1 has solutions x = -p S1 S^# + const * p
-    S1 = _boundary_generator(model, at, psi)
-    S1[:, :model.n_minus] += model.block(np.concatenate([im, i0]), ip) @ psi1
+    # x = s v1 solves x B = -p B1; it sums to zero, as B1's last column is zero
+    B, B1 = S, _boundary_generator(model, at, psi)
+    B1[:, :model.n_minus] += model.block(np.concatenate([im, i0]), ip) @ psi1
+    B[:, -1], B1[:, -1] = 1.0, 0.0
     p = np.concatenate([p_minus, p_zero])
-    S_sharp = group_inverse(S, p / p.sum())
-    p1_part = -(p @ S1) @ S_sharp
+    p1_part = solve_linear(B.T, -(p @ B1))
     q1_part = p1_part[:model.n_minus] @ model.block(im, ip) \
         + p1_part[model.n_minus:] @ model.block(i0, ip) \
         + p_minus @ at(im, ip) + p_zero @ at(i0, ip)
 
-    # derivative of the normalization fixes the free constant; the
-    # coefficient of the constant is the total mass, which is one
+    # product rule on s = 1/(1 + q_v y): s1 / s = -(s q_v1 y + q y1) = -mass1
     W1_top = _row_factor(model, np.zeros_like(K), Theta1, psi1)
-    mass1 = p1_part.sum() + q1_part @ y \
-        + q @ solve_linear(-K, K1 @ y + W1_top.sum(axis=1))
+    mass1 = q1_part @ y + q @ solve_linear(-K, K1 @ y + W1_top.sum(axis=1))
     p1 = p1_part - mass1 * p
     q1 = q1_part - mass1 * q
     G = np.block([[K, K1], [np.zeros_like(K), K]])

@@ -202,22 +202,6 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     return exp_evaluator(M)(1.0)
 
 
-def group_inverse(M: np.ndarray, left_null: np.ndarray) -> np.ndarray:
-    """Group inverse of a rank-deficient generator-type matrix.
-
-    ``left_null`` is the stationary row vector pi with pi M = 0 and
-    pi 1 = 1; the group inverse is (M - 1 pi)^{-1} + 1 pi.  Passing the
-    zero vector reduces to the ordinary inverse of a nonsingular M.
-    """
-    M = as_matrix(M, "M")
-    pi = as_vector(left_null, "left_null")
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1] or pi.shape[0] != n:
-        raise ValueError(f"incompatible shapes {M.shape} and {pi.shape}")
-    one_pi = np.outer(np.ones(n), pi)
-    return solve_linear(M - one_pi, np.eye(n)) + one_pi
-
-
 def stable_spectrum(M: np.ndarray) -> bool:
     """True iff the spectral abscissa of M is negative.
 

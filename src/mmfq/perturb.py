@@ -27,8 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (FluidModel, PerturbationSpec, censor_zero_phases,
-                   qtilde_blocks, validate_perturbation)
+# qtilde_blocks stays bound because the benchmark harness calls it here by name
+from .core import (FluidModel, PerturbationSpec, _qtilde, qtilde_blocks,  # noqa: F401
+                   validate_perturbation)
 from .errors import InnerRiccatiDiverged, InvalidPerturbation, NoConvergence
 from .numerics import solve_linear, solve_sylvester
 from .riccati import PsiSolution, newton_riccati
@@ -78,8 +79,9 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     An empty migrating class (om for ``to_plus``, op for ``to_minus``, both
     for ``unaffected``) enters every step as a zero-size block.  Zero-rate
     phases that keep rate zero enter no block, so they are censored out
-    first.  The elimination order, each step obtained by collecting powers
-    of eps in the four block components of the perturbed Riccati equation:
+    first, by the root solve's censoring.  The elimination order, each step
+    obtained by collecting powers of eps in the four block components of the
+    perturbed Riccati equation:
 
     1. eps^{-1} of the (op, om) block: inner Riccati equation for psi_op_om
        with the perturbation rates as fluid rates.
@@ -93,7 +95,7 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     """
     if spec.regime == "unaffected":
         keep = np.concatenate([model.ip, model.im])
-        b = censor_zero_phases(model)
+        b = psi_sol.blocks
         model = replace(model, A=np.block([[b.Q_pp, b.Q_pm], [b.Q_mp, b.Q_mm]]),
                         c=model.c[keep], perm=model.perm[keep], n_zero=0)
         spec = replace(spec, direction=spec.direction[keep])
@@ -217,14 +219,15 @@ def expand(model: FluidModel, psi_sol: PsiSolution,
 
     The result's ``psi1`` is the first-order matrix and, for a rate
     direction, ``aux["series"]`` the Laurent-series blocks of U(eps) and
-    K(eps).  Along a generator direction, with Qt from ``qtilde_blocks``, psi1 solves
+    K(eps).  Along a generator direction, with Qt the derivative of the root
+    solve's censoring (``qtilde_blocks``), psi1 solves
 
         K X + X U = -C+^{-1} Qt_{+-} - C+^{-1} Qt_{++} psi
                     - psi |C-^{-1}| Qt_{--} - psi |C-^{-1}| Qt_{-+} psi.
     """
     if spec.kind == "rate":
         return _eliminate(model, psi_sol, spec)
-    Qt_pp, Qt_pm, Qt_mp, Qt_mm = qtilde_blocks(model, spec.direction)
+    Qt_pp, Qt_pm, Qt_mp, Qt_mm = _qtilde(model, psi_sol.blocks, spec.direction)
     psi = psi_sol.psi
     cp = model.c_plus[:, None]
     psi_cm = psi / model.c_minus_abs[None, :]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FluidModel, PerturbationSpec, censor_zero_phases,
+from .core import (CensoredBlocks, FluidModel, PerturbationSpec, censor_zero_phases,
                    stationary_phase_dist, validate_model)
 from .errors import (EmptySide, InvalidEpsilon, NoConvergence, NotAGenerator,
                      Reducible)
@@ -46,6 +46,8 @@ class PsiSolution:
     matrix of the stationary density and has a strictly stable spectrum.
     ``residual`` is ||F||_inf of the unscaled equation (see :func:`solve_psi`).
     ``in_unit_box`` says whether ``psi`` lies in [0, 1] to within 1e-12.
+    ``blocks`` is the censoring the solve ran on; the expansion and the
+    stationary law reuse it, with its factor of the zero-rate block.
     """
 
     psi: np.ndarray
@@ -55,6 +57,7 @@ class PsiSolution:
     residual: float
     residual_history: tuple[float, ...]
     in_unit_box: bool
+    blocks: CensoredBlocks
 
 
 def _residual(Qd, Qa, Mu, Mb, c, Y):
@@ -114,9 +117,10 @@ def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
     return X, iterations, tuple(history)
 
 
-def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb):
+def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb, c_plus):
     """One Newton step from X on a shifted equation: the new X, its residual
-    and U = Mu + Mb X.  (The name is older than the method; tracers wrap it.)
+    and U = Mu + Mb X, with ``c_plus`` the up rates.  (The name is older
+    than the method; tracers wrap it.)
 
     Near zero drift spec(K) nearly touches spec(-U), and X is far less
     accurate than its residual says.  A rank-one shift keeps psi a root and
@@ -128,9 +132,9 @@ def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb):
     eta times the defect of that identity: rounding C+ C+^{-1} Q or forming
     eta-sized blocks would cost digits where a rate is tiny.
     """
-    cp = model.c_plus[:, None]
+    cp = c_plus[:, None]
     xi = stationary_phase_dist(model)
-    z_p, z_m = xi[model.ip] * model.c_plus, xi[model.im] * model.c_minus_abs
+    z_p, z_m = xi[model.ip] * c_plus, xi[model.im] * model.c_minus_abs
 
     eq = (blocks.Q_pm, blocks.Q_pp, Mu, Mb, cp)
     H, U = _residual(*eq, X)
@@ -161,19 +165,20 @@ def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
     if model.n_plus == 0 or model.n_minus == 0:
         raise EmptySide("model needs at least one positive and one negative rate")
     blocks = censor_zero_phases(model)
-    cm = model.c_minus_abs[:, None]
-    Ma, Mu, Mb = blocks.Q_pp / model.c_plus[:, None], blocks.Q_mm / cm, blocks.Q_mp / cm
+    c_plus, cm = model.c_plus, model.c_minus_abs[:, None]
+    Ma, Mu, Mb = blocks.Q_pp / c_plus[:, None], blocks.Q_mm / cm, blocks.Q_mp / cm
     X, iterations, history = newton_riccati(
-        blocks.Q_pm, blocks.Q_pp, Mu, Mb, model.c_plus, tol, max_newton)
+        blocks.Q_pm, blocks.Q_pp, Mu, Mb, c_plus, tol, max_newton)
     if tol <= REFINE_THRESHOLD:
-        X, res, U = _defect_correct(model, blocks, X, Ma, Mu, Mb)
+        X, res, U = _defect_correct(model, blocks, X, Ma, Mu, Mb, c_plus)
         history = history[:-1] + (res,)
     else:
         U = Mu + Mb.dot(X)
     K = Ma + X.dot(Mb)
     return PsiSolution(psi=X, U=U, K=K, iterations=iterations,
                        residual=history[-1], residual_history=history,
-                       in_unit_box=bool(X.min() >= -1e-12 and X.max() <= 1.0 + 1e-12))
+                       in_unit_box=bool(X.min() >= -1e-12 and X.max() <= 1.0 + 1e-12),
+                       blocks=blocks)
 
 
 def perturbed_model(model: FluidModel, spec: PerturbationSpec,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mmfq import mean_drift, validate_model
+from mmfq.numerics import as_matrix, as_vector, solve_linear
 
 
 def random_generator(n, rng, density=1.0):
@@ -75,6 +76,24 @@ def bd_identity_gap(model, spec, expansion):
                      np.eye(n_op + n_om))
     D = np.block([[D_op_op, D_op_om], [D_om_op, D_om_om]])
     return float(np.abs(D - B).max())
+
+
+# the route of the boundary-mass derivative before the bordered solve; the
+# tests keep it as a reference
+def group_inverse(M: np.ndarray, left_null: np.ndarray) -> np.ndarray:
+    """Group inverse of a rank-deficient generator-type matrix.
+
+    ``left_null`` is the stationary row vector pi with pi M = 0 and
+    pi 1 = 1; the group inverse is (M - 1 pi)^{-1} + 1 pi.  Passing the
+    zero vector reduces to the ordinary inverse of a nonsingular M.
+    """
+    M = as_matrix(M, "M")
+    pi = as_vector(left_null, "left_null")
+    n = M.shape[0]
+    if M.shape[0] != M.shape[1] or pi.shape[0] != n:
+        raise ValueError(f"incompatible shapes {M.shape} and {pi.shape}")
+    one_pi = np.outer(np.ones(n), pi)
+    return solve_linear(M - one_pi, np.eye(n)) + one_pi
 
 
 def mp_array(a):

@@ -26,12 +26,12 @@ from mmfq.bench import (CASE_IDS, CASE_TARGET_DRIFT, R_PLUS, REFERENCE_ERRATA,
                         run_case)
 from mmfq.density import (density1_at, density_at, first_order_law,
                           stationary_law, zero_mass)
-from mmfq.numerics import group_inverse, null_row_vector, stable_spectrum, sylvester_residual
+from mmfq.numerics import null_row_vector, stable_spectrum, sylvester_residual
 from mmfq.perturb import qtilde_blocks
 from mmfq.riccati import perturbed_model
 from mmfq.simulate import SimConfig, estimate_psi
 
-from conftest import (bd_identity_gap, random_generator,
+from conftest import (bd_identity_gap, group_inverse, random_generator,
                       random_generator_direction, random_recurrent_model)
 
 

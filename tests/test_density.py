@@ -12,7 +12,7 @@ from mmfq.errors import Inconclusive, NotGeneratorKind, NotRecurrent
 from mmfq.numerics import _THETA24
 from mmfq.riccati import perturbed_model
 
-from conftest import random_generator_direction, random_recurrent_model
+from conftest import group_inverse, random_generator_direction, random_recurrent_model
 
 
 def total_mass_by_quadrature(model, sol, law, x_max, n_points=4001):
@@ -315,3 +315,88 @@ def test_phase_order_invariance():
               density_at(law, sol.psi, model, x)[order])
         close(density1_at(fol_s, law_s, shuffled, sol_s.psi, psi1_s, x),
               density1_at(fol, law, model, sol.psi, psi1, x)[order])
+
+
+def group_inverse_route(model, direction):
+    """The first-order law along ``direction`` and its p1, q1 by the former
+    route: the Poisson equation x S = -p S1 solved through the group inverse
+    of S, its free constant fixed by the derivative of the normalization."""
+    from mmfq.density import _boundary_generator
+    from mmfq.numerics import solve_linear
+    sol, psi1, law, fol = laws(model, direction)
+    At = validate_perturbation(model, "generator", direction).direction
+    ip, i0, im = model.ip, model.i0, model.im
+
+    def at(rows, cols):
+        return At[np.ix_(rows, cols)]
+
+    S = _boundary_generator(model, model.block, sol.psi)
+    S1 = _boundary_generator(model, at, sol.psi)
+    S1[:, :model.n_minus] += model.block(np.concatenate([im, i0]), ip) @ psi1
+    p = np.concatenate([law.p_minus, law.p_zero])
+    p1_part = -(p @ S1) @ group_inverse(S, p / p.sum())
+    q1_part = p1_part[:model.n_minus] @ model.block(im, ip) \
+        + p1_part[model.n_minus:] @ model.block(i0, ip) \
+        + law.p_minus @ at(im, ip) + law.p_zero @ at(i0, ip)
+    y = solve_linear(-law.K, law.W.sum(axis=1))
+    W1_top = fol.W1[:model.n_plus]
+    mass1 = p1_part.sum() + q1_part @ y \
+        + law.q @ solve_linear(-law.K, fol.K1 @ y + W1_top.sum(axis=1))
+    return fol, p1_part - mass1 * p, q1_part - mass1 * law.q
+
+
+def models_with_zero_phases(which):
+    if which == "1a":
+        yield case_model("1a")[0]
+    elif which == "random":
+        rng = np.random.default_rng(67)
+        found = 0
+        while found < 40:
+            model = random_recurrent_model(int(rng.integers(3, 25)), rng)
+            if model.n_zero:
+                found += 1
+                yield model
+    else:
+        yield random_recurrent_model(60, np.random.default_rng(68),
+                                     signs=np.repeat([1, 0, -1], [20, 10, 30]))
+
+
+@pytest.mark.parametrize("which", ["1a", "random", "n60"])
+def test_bordered_boundary_derivative_matches_group_inverse_route(which):
+    # p1 and q1 from the differentiated bordered system against the former
+    # Poisson/group-inverse route, to 1e-12 of the largest entry
+    rng = np.random.default_rng(69)
+    for model in models_with_zero_phases(which):
+        fol, p1, q1 = group_inverse_route(model, random_generator_direction(model, rng))
+        got = np.concatenate([fol.p1_minus, fol.p1_zero])
+        assert np.abs(got - p1).max() <= 1e-12 * np.abs(p1).max()
+        assert np.abs(fol.q1 - q1).max() <= 1e-12 * np.abs(q1).max()
+
+
+@pytest.mark.parametrize("which", ["1a", "four_zero"])
+def test_zero_block_factored_once(which, monkeypatch):
+    # solve_psi, expand, stationary_law and first_order_law along a generator
+    # direction, as `mmfq density --pert` runs them: every solve_linear call
+    # whose matrix is +-A_00 or its transpose is counted, in every module
+    # that binds solve_linear
+    import sys
+    from mmfq import numerics
+    rng = np.random.default_rng(70)
+    if which == "1a":
+        model = case_model("1a")[0]
+    else:
+        model = random_recurrent_model(9, rng, signs=[1, 1, 0, 0, 0, 0, -1, -1, -1])
+    A00 = model.block(model.i0, model.i0)
+    zero_block = (A00, -A00, A00.T, -A00.T)
+    original, calls = numerics.solve_linear, []
+
+    def counting(M, B):
+        M = np.asarray(M)
+        calls.append(any(M.shape == Z.shape and np.array_equal(M, Z) for Z in zero_block))
+        return original(M, B)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mmfq") and getattr(module, "solve_linear", None) is original:
+            monkeypatch.setattr(module, "solve_linear", counting)
+    laws(model, random_generator_direction(model, rng))
+    assert sum(calls) == 1

@@ -6,11 +6,11 @@ from scipy.optimize import linear_sum_assignment
 
 from mmfq import numerics
 from mmfq.errors import Inconclusive, NoConvergence, Singular
-from mmfq.numerics import (conv_integral, exp_evaluator, group_inverse, matrix_exp,
+from mmfq.numerics import (conv_integral, exp_evaluator, matrix_exp,
                            null_row_vector, solve_linear, solve_sylvester,
                            sylvester_residual, sylvester_solver)
 
-from conftest import random_generator
+from conftest import group_inverse, random_generator
 
 
 def simpson_matrix(f, a, b, panels):
