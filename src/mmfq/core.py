@@ -78,7 +78,7 @@ class FluidModel:
 @dataclass(frozen=True)
 class CensoredBlocks:
     """Generator blocks on the non-zero-rate phases after censoring, and
-    ``inv0`` = (-A_00)^{-1}, the one factorization of the zero-rate block."""
+    ``inv0`` = (-A_00)^{-1} from the same solve with the zero-rate block."""
 
     Q_pp: np.ndarray
     Q_pm: np.ndarray
@@ -191,14 +191,15 @@ def censor_zero_phases(model: FluidModel) -> CensoredBlocks:
     ``A`` plus the first-passage correction through the zero-rate block.
     """
     ip, i0, im = model.ip, model.i0, model.im
+    p, pm = model.n_plus, model.n_plus + model.n_minus
+    # (-A_00)^{-1} applied to the outgoing rows, up columns first, and to I
+    rhs = np.eye(model.n_zero, pm + model.n_zero, pm)
+    rhs[:, :pm] = model.block(i0, np.concatenate([ip, im]))
     try:
-        # (-A_00)^{-1} applied to the outgoing rows, up columns first, and to I
-        N_rows = solve_linear(-model.block(i0, i0),
-                              np.hstack([model.block(i0, np.concatenate([ip, im])),
-                                         np.eye(model.n_zero)]))
+        N_rows = solve_linear(-model.block(i0, i0), rhs)
     except Singular as exc:
         raise SingularBlock("zero-rate block is singular") from exc
-    N_p, N_m, inv0 = np.split(N_rows, [model.n_plus, model.n_plus + model.n_minus], axis=1)
+    N_p, N_m, inv0 = N_rows[:, :p], N_rows[:, p:pm], N_rows[:, pm:]
     A_p0, A_m0 = model.block(ip, i0), model.block(im, i0)
     return CensoredBlocks(
         Q_pp=model.block(ip, ip) + A_p0 @ N_p,
