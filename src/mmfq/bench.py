@@ -250,16 +250,12 @@ def run_case(case_id: str, eps_grid: np.ndarray | None = None) -> CaseResult:
     for eps in eps_grid:
         psi_eps, pmodel = solve_psi_at(model, spec, float(eps))
         norms.append(error_norms(model, psi_eps, pmodel, expansion, float(eps)))
-    e_plus = np.array([n.e_plus for n in norms])
-    e_inf = np.array([n.e_inf for n in norms])
-    has_oplus = norms[0].e_oplus is not None
-    has_cols = norms[0].e_ominus is not None
-    slope, r2 = fit_slope(eps_grid, e_inf)
-    return CaseResult(
-        case_id=case_id, eps_grid=eps_grid, e_plus=e_plus,
-        e_oplus=np.array([n.e_oplus for n in norms]) if has_oplus else None,
-        e_inf=e_inf,
-        e_minus=np.array([n.e_minus for n in norms]) if has_cols else None,
-        e_ominus=np.array([n.e_ominus for n in norms]) if has_cols else None,
-        slope=slope, r_squared=r2,
-        r_minus=float(model.c[-1]), drift=core.mean_drift(model))
+    # each optional norm is present at every eps or at none: the perturbed
+    # partition is the same for all eps > 0
+    column = {key: None if getattr(norms[0], key) is None
+              else np.array([getattr(n, key) for n in norms])
+              for key in ("e_plus", "e_oplus", "e_inf", "e_minus", "e_ominus")}
+    slope, r2 = fit_slope(eps_grid, column["e_inf"])
+    return CaseResult(case_id=case_id, eps_grid=eps_grid, **column, slope=slope,
+                      r_squared=r2, r_minus=float(model.c[-1]),
+                      drift=core.mean_drift(model))

@@ -2,12 +2,12 @@
 
 One verb per module: validate | psi | perturb | density | case | simulate.
 Exit codes: 0 success, 1 domain error, 2 usage or I/O error.  Domain
-errors are reported as one-line JSON objects on stderr.  Each writing
-verb returns ``(output, inputs, options, diagnostics)``, a CSV body or a
-JSON payload, and `_write_output` builds the manifest (command line,
-inputs, resolved options, version, wall time, solver diagnostics): a JSON
-payload embeds it, a CSV file gets a sibling ``<name>.manifest.json`` and
-a CSV on stdout goes without one.
+errors are reported as one-line JSON objects on stderr.  Each verb
+returns ``(output, inputs, options, diagnostics)``, CSV rows or a JSON
+payload, and only `_write_output` renders it, with the manifest (command
+line, inputs, resolved options, version, wall time, solver diagnostics):
+a JSON payload embeds it, a CSV file gets a sibling ``<name>.manifest.json``
+and a CSV on stdout goes without one.
 """
 
 from __future__ import annotations
@@ -27,30 +27,32 @@ from .errors import FluidQueueError, UnknownCase
 from .riccati import DEFAULT_MAX_NEWTON, DEFAULT_TOL, solve_psi, solve_psi_at
 
 
-def _f17(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _f3(x: float) -> str:
-    return f"{float(x):.3g}"
-
-
-def _write_output(args, t0: float, output: str | dict, inputs: list[str],
+def _write_output(args, t0: float, output: list | dict, inputs: list[str],
                   options: dict, diagnostics: dict) -> None:
-    """Write a verb's CSV body or JSON payload to ``args.out`` or stdout,
-    with the manifest of the run timed from ``t0``."""
+    """Write a verb's CSV rows or JSON payload to ``args.out`` or stdout, with
+    the manifest of the run timed from ``t0``.  CSV rows start with the header;
+    a ``str`` cell is written as is, a number with 17 significant digits and
+    ``None`` as an empty cell, and the first data row sets each column's kind."""
     manifest = {"command": args.argv, "inputs": inputs, "options": options,
                 "version": __version__, "wall_time_s": time.perf_counter() - t0,
                 "diagnostics": diagnostics}
-    text = output if isinstance(output, str) else \
-        json.dumps({**output, "manifest": manifest}, indent=2) + "\n"
-    if not args.out:
+    is_csv = isinstance(output, list)
+    if is_csv:
+        header, *body = output
+        # one format string for all rows, so no cell's type is checked per row
+        line = ",".join("" if v is None else f"{{{i}}}" if isinstance(v, str) else f"{{{i}:.17g}}"
+                        for i, v in enumerate(body[0] if body else [])) + "\n"
+        text = ",".join(header) + "\n" + "".join(line.format(*row) for row in body)
+    else:
+        text = json.dumps({**output, "manifest": manifest}, indent=2) + "\n"
+    out = getattr(args, "out", None)
+    if not out:
         sys.stdout.write(text)
         return
-    with open(args.out, "w") as fh:
+    with open(out, "w") as fh:
         fh.write(text)
-    if isinstance(output, str):
-        with open(args.out + ".manifest.json", "w") as fh:
+    if is_csv:
+        with open(out + ".manifest.json", "w") as fh:
             fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -70,7 +72,7 @@ def _grid(spec: str, log: bool) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-def cmd_validate(args) -> None:
+def cmd_validate(args):
     model = load_model(args.model)
     xi = model.unpermute(stationary_phase_dist(model))
     drift = mean_drift(model)
@@ -86,32 +88,24 @@ def cmd_validate(args) -> None:
         "drift": drift,
         "recurrent": drift < 0,
     }
-    print(json.dumps(report, indent=2))
-
-
-def _matrix_csv(sections) -> str:
-    lines = ["matrix,row,col,value"]
-    for name, M, rows, cols in sections:
-        for i, r in enumerate(rows):
-            for j, c in enumerate(cols):
-                lines.append(f"{name},{r},{c},{_f17(M[i, j])}")
-    return "\n".join(lines) + "\n"
+    return report, [args.model], {}, {}
 
 
 def cmd_psi(args):
     model = load_model(args.model)
     sol = solve_psi(model, tol=args.tol, max_newton=args.max_newton)
     labels = model.canonical_labels()
-    up = [labels[i] for i in model.ip]
-    down = [labels[i] for i in model.im]
+    up, down = labels[:model.n_plus], labels[model.n_plus + model.n_zero:]
     if args.json:
         output = {"psi": sol.psi.tolist(), "U": sol.U.tolist(), "K": sol.K.tolist(),
                   "up_phases": up, "down_phases": down,
                   "iterations": sol.iterations, "residual": sol.residual}
     else:
-        output = _matrix_csv([("psi", sol.psi, up, down),
-                              ("U", sol.U, down, down),
-                              ("K", sol.K, up, up)])
+        output = [["matrix", "row", "col", "value"]]
+        for name, M, rows, cols in (("psi", sol.psi, up, down), ("U", sol.U, down, down),
+                                    ("K", sol.K, up, up)):
+            output += [[name, r, c, v] for r, vals in zip(rows, M.tolist())
+                       for c, v in zip(cols, vals)]
     return output, [args.model], {"tol": args.tol, "max_newton": args.max_newton}, {
         "iterations": sol.iterations, "residual": sol.residual,
         "row_sum_defect": float(np.abs(sol.psi.sum(axis=1) - 1).max())}
@@ -137,8 +131,8 @@ def cmd_perturb(args):
     for eps in args.eps_check or []:
         psi_eps, pmodel = solve_psi_at(model, spec, eps, tol=args.tol)
         norms = bench.error_norms(model, psi_eps, pmodel, expansion, eps)
-        checks[_f17(eps)] = {k: v for k, v in asdict(norms).items()
-                             if v is not None}
+        checks[f"{eps:.17g}"] = {k: v for k, v in asdict(norms).items()
+                                 if v is not None}
     if checks:
         payload["eps_check"] = checks
     options = {"tol": args.tol, "eps_check": args.eps_check or []}
@@ -150,66 +144,54 @@ def cmd_density(args):
     model = load_model(args.model)
     sol = solve_psi(model, tol=args.tol)
     law = density.stationary_law(model, sol)
-    fol = None
     if args.pert:
         spec = perturb.load_perturbation(args.pert, model)
         density.require_generator_kind(spec)
         psi1 = perturb.expand(model, sol, spec).psi1
         fol = density.first_order_law(model, sol, spec.direction, psi1)
     xs = _grid(args.x, log=False)
-    header = ["x"] + [f"pi_{lab}" for lab in model.labels]
-    if fol is not None:
-        header += [f"pi1_{lab}" for lab in model.labels]
-    lines = [",".join(header)]
-    for x in xs:
-        row = [ _f17(x) ] + [_f17(v) for v in density.density_at(law, sol.psi, model, x)]
-        if fol is not None:
-            row += [_f17(v) for v in
-                    density.density1_at(fol, law, model, sol.psi, psi1, x)]
-        lines.append(",".join(row))
+    rows = [["x"] + [f"pi_{lab}" for lab in model.labels]]
+    rows += [[x] + density.density_at(law, sol.psi, model, x).tolist() for x in xs]
+    if args.pert:
+        rows[0] += [f"pi1_{lab}" for lab in model.labels]
+        for row, x in zip(rows[1:], xs):
+            row += density.density1_at(fol, law, model, sol.psi, psi1, x).tolist()
     inputs = [p for p in (args.model, args.pert) if p]
-    return "\n".join(lines) + "\n", inputs, {"x": args.x, "tol": args.tol}, {
+    return rows, inputs, {"x": args.x, "tol": args.tol}, {
         "zero_mass": density.zero_mass(law, model).tolist(), "drift": mean_drift(model)}
 
 
 def cmd_case(args):
     grid = _grid(args.eps_grid, log=True) if args.eps_grid else None
     result = bench.run_case(args.id, grid)
-    lines = ["case_id,eps,e_plus,e_oplus,e_inf,e_minus,e_ominus,slope,r_squared"]
-    for i, eps in enumerate(result.eps_grid):
-        cells = [result.case_id, _f17(eps), _f17(result.e_plus[i]),
-                 _f17(result.e_oplus[i]) if result.e_oplus is not None else "",
-                 _f17(result.e_inf[i]),
-                 _f17(result.e_minus[i]) if result.e_minus is not None else "",
-                 _f17(result.e_ominus[i]) if result.e_ominus is not None else "",
-                 _f17(result.slope), _f17(result.r_squared)]
-        lines.append(",".join(cells))
-    body = "\n".join(lines) + "\n"
+    columns = [result.eps_grid, result.e_plus, result.e_oplus, result.e_inf,
+               result.e_minus, result.e_ominus]
+    blank = [None] * len(result.eps_grid)
+    rows = [["case_id", "eps", "e_plus", "e_oplus", "e_inf", "e_minus", "e_ominus",
+             "slope", "r_squared"]]
+    rows += [[result.case_id, *cells, result.slope, result.r_squared]
+             for cells in zip(*(blank if col is None else col.tolist() for col in columns))]
 
-    summary = [f"case {result.case_id}: r_minus={_f3(result.r_minus)} "
-               f"drift={_f3(result.drift)} slope={result.slope:.3f} "
+    summary = [f"case {result.case_id}: r_minus={result.r_minus:.3g} "
+               f"drift={result.drift:.3g} slope={result.slope:.3f} "
                f"R^2={result.r_squared:.4f}"]
-    reference = bench.corrected_reference_norms()[result.case_id]
-    for eps_ref, cells in reference.items():
+    for eps_ref, cells in bench.corrected_reference_norms()[result.case_id].items():
         idx = int(np.argmin(np.abs(result.eps_grid - eps_ref)))
         close = abs(result.eps_grid[idx] - eps_ref) <= 1e-12 * eps_ref
         for key, ref in cells.items():
             erratum = bench.REFERENCE_ERRATA.get((result.case_id, eps_ref, key))
-            ref_text = f"reference {_f3(ref)}" + (
-                f" (published {_f3(erratum.published)}, erratum)" if erratum else "")
-            got = {"e_plus": result.e_plus,
-                   "e_oplus": result.e_oplus,
-                   "e_inf": result.e_inf}[key]
+            ref_text = f"reference {ref:.3g}" + (
+                f" (published {erratum.published:.3g}, erratum)" if erratum else "")
+            got = getattr(result, key)
             if got is None or not close:
-                summary.append(f"  {key}({_f3(eps_ref)}): {ref_text} "
+                summary.append(f"  {key}({eps_ref:.3g}): {ref_text} "
                                "(grid point not evaluated)")
                 continue
-            val = got[idx]
-            ok = abs(val - ref) <= 0.02 * ref
-            summary.append(f"  {key}({_f3(eps_ref)}) = {_f3(val)} {ref_text} "
+            ok = abs(got[idx] - ref) <= 0.02 * ref
+            summary.append(f"  {key}({eps_ref:.3g}) = {got[idx]:.3g} {ref_text} "
                            f"{'PASS' if ok else 'FAIL'} (2% relative)")
-    print("\n".join(summary))
-    return body, [], {"id": args.id, "eps_grid": args.eps_grid}, {
+    print("\n".join(summary), file=sys.stderr)
+    return rows, [], {"id": args.id, "eps_grid": args.eps_grid}, {
         "slope": result.slope, "r_squared": result.r_squared,
         "r_minus": result.r_minus, "drift": result.drift}
 
@@ -223,14 +205,12 @@ def cmd_simulate(args):
         raise argparse.ArgumentTypeError(str(exc)) from exc
     est = simulate.estimate_psi(model, cfg)
     labels = model.canonical_labels()
-    up = [labels[i] for i in model.ip]
-    down = [labels[i] for i in model.im]
-    lines = ["start,hit,estimate,stderr"]
-    for i, r in enumerate(up):
-        for j, c in enumerate(down):
-            lines.append(f"{r},{c},{_f17(est.estimate[i, j])},{_f17(est.stderr[i, j])}")
+    up, down = labels[:model.n_plus], labels[model.n_plus + model.n_zero:]
+    rows = [["start", "hit", "estimate", "stderr"]]
+    rows += [[r, c, e, s] for r, er, sr in zip(up, est.estimate.tolist(), est.stderr.tolist())
+             for c, e, s in zip(down, er, sr)]
     options = {"replications": args.replications, "seed": args.seed, "max_time": args.max_time}
-    return "\n".join(lines) + "\n", [args.model], options, {
+    return rows, [args.model], options, {
         "censored_fraction": est.censored_fraction}
 
 
@@ -251,47 +231,40 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="mmfq", description="Markov-modulated fluid queue toolkit")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    model, tol, out = (_Parser(add_help=False) for _ in range(3))
+    model.add_argument("model")
+    tol.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    out.add_argument("--out")
 
-    v = sub.add_parser("validate", help="validate a model file")
-    v.add_argument("model")
+    v = sub.add_parser("validate", parents=[model], help="validate a model file")
     v.set_defaults(func=cmd_validate)
 
-    s = sub.add_parser("psi", help="first-return matrix and U, K")
-    s.add_argument("model")
-    s.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    s = sub.add_parser("psi", parents=[model, tol, out], help="first-return matrix and U, K")
     s.add_argument("--max-newton", type=int, default=DEFAULT_MAX_NEWTON)
-    s.add_argument("--out")
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_psi)
 
-    pe = sub.add_parser("perturb", help="first-order expansion of psi")
-    pe.add_argument("model")
+    pe = sub.add_parser("perturb", parents=[model, tol, out],
+                        help="first-order expansion of psi")
     pe.add_argument("pert")
-    pe.add_argument("--tol", type=float, default=DEFAULT_TOL)
     pe.add_argument("--eps-check", type=float, nargs="*")
-    pe.add_argument("--out")
     pe.set_defaults(func=cmd_perturb)
 
-    d = sub.add_parser("density", help="stationary density on a level grid")
-    d.add_argument("model")
+    d = sub.add_parser("density", parents=[model, tol, out],
+                       help="stationary density on a level grid")
     d.add_argument("--pert")
     d.add_argument("--x", required=True, help="grid A:B:N (linear)")
-    d.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    d.add_argument("--out")
     d.set_defaults(func=cmd_density)
 
-    c = sub.add_parser("case", help="run one benchmark case")
+    c = sub.add_parser("case", parents=[out], help="run one benchmark case")
     c.add_argument("--id", required=True)
     c.add_argument("--eps-grid", help="grid A:B:N (log-spaced)")
-    c.add_argument("--out")
     c.set_defaults(func=cmd_case)
 
-    si = sub.add_parser("simulate", help="Monte Carlo estimate of psi")
-    si.add_argument("model")
+    si = sub.add_parser("simulate", parents=[model, out], help="Monte Carlo estimate of psi")
     si.add_argument("--replications", type=int, default=10000)
     si.add_argument("--seed", type=int, default=0)
     si.add_argument("--max-time", type=float, default=1e4)
-    si.add_argument("--out")
     si.set_defaults(func=cmd_simulate)
     return p
 
@@ -308,16 +281,11 @@ def main(argv=None) -> int:
         if getattr(args, "max_newton", 0) < 0:
             raise argparse.ArgumentTypeError(
                 f"bad max-newton {args.max_newton!r}, expected max_newton >= 0")
-        result = args.func(args)
-        if result is not None:
-            _write_output(args, t0, *result)
+        _write_output(args, t0, *args.func(args))
         return 0
-    except UnknownCase as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return 2
     except FluidQueueError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UnknownCase) else 1
     except argparse.ArgumentTypeError as exc:
         print(json.dumps({"error": "Usage", "message": str(exc)}), file=sys.stderr)
         return 2

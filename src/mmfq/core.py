@@ -129,6 +129,8 @@ def validate_model(A, c, labels=None) -> FluidModel:
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"A must be square, got {A.shape}")
+    if n == 0:
+        raise DimensionMismatch("a model needs at least one phase")
     if c.shape[0] != n:
         raise DimensionMismatch(f"c has length {c.shape[0]}, expected {n}")
     if labels is None:

@@ -1,6 +1,7 @@
 """The public-name contract: ``mmfq.__all__`` lists exactly these names and
 every one of them resolves; so does every library attribute that the
-benchmark's tracer wraps, and the README's quick start runs.  Each module
+benchmark's tracer wraps, the README's quick start runs and its usage block
+names every CLI option.  Each module
 imports from the package only the modules of its row in ``IMPORTS``."""
 
 import ast
@@ -72,6 +73,21 @@ def test_readme_quick_start_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["sol"].residual <= 1e-12
     assert namespace["expansion"].psi1.shape == namespace["direct"].psi.shape
+
+
+def test_readme_usage_names_every_option():
+    # each verb's lines of the command-line usage block name every option its
+    # parser declares, and the block names the top-level ones
+    from mmfq.cli import build_parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if a.dest == "command").choices
+    for verb, sub in {"": parser, **verbs}.items():
+        lines = [line for line in block.splitlines() if line.startswith(f"mmfq {verb}")]
+        named = set(re.findall(r"--[\w-]+", " ".join(lines)))
+        options = {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+        assert options - {"--help"} <= named, (verb, options - named)
 
 
 def test_import_layering():

@@ -138,6 +138,8 @@ class TestRunCase:
         assert result.r_squared >= 0.99
         assert result.e_oplus is not None
         assert np.all(result.e_inf >= result.e_plus - 1e-300)
+        # an "a" case has no e_ominus, but its e_minus is filled
+        assert result.e_ominus is None and np.all(result.e_minus > 0)
 
     @pytest.mark.parametrize("grid", [[1e-3], [1e-3, 1e-3], []])
     def test_fewer_than_two_distinct_eps(self, grid, monkeypatch):

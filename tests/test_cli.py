@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -314,7 +316,7 @@ class TestCase:
         out = tmp_path / "case2a.csv"
         assert main(["case", "--id", "2a", "--eps-grid", "1e-4:1e-2:5",
                      "--out", str(out)]) == 0
-        summary = capsys.readouterr().out
+        summary = capsys.readouterr().err
         assert "r_minus=-621" in summary
         assert "e_plus(0.01) = 2.08e-08 reference 2.08e-08 PASS" in summary
         body = out.read_text().splitlines()
@@ -333,12 +335,12 @@ class TestCase:
 
     def test_2b_summary_cell_passes(self, capsys):
         assert main(["case", "--id", "2b", "--eps-grid", "1e-4:1e-2:3"]) == 0
-        summary = capsys.readouterr().out
+        summary = capsys.readouterr().err
         assert "e_inf(0.0001) = 5.11e-08 reference 5.11e-08 PASS" in summary
 
     def test_2a_summary_checks_errata(self, capsys):
         assert main(["case", "--id", "2a", "--eps-grid", "1e-4:1e-2:3"]) == 0
-        summary = capsys.readouterr().out
+        summary = capsys.readouterr().err
         assert "FAIL" not in summary
         assert "reference 2.08e-12 (published 1.92e-12, erratum) PASS" in summary
 
@@ -397,6 +399,9 @@ GENERATOR = '{"kind": "generator", "direction": [[-2.0, 2.0], [0.0, 0.0]]}'
 RATE = '{"kind": "rate", "direction": [0.1, 0.0]}'
 # inf-norm 2e308 overflows: numpy warned on stderr, and the row-sum tolerance was infinite
 OVERFLOW = "[[-1e308, 1e308], [1e308, -1e308]]"
+# the zero-rate block's diagonal -(1 + 1e-17) rounds to -1, so -A_00 = [[1, -1], [-1, 1]]
+SINGULAR_ZERO_BLOCK = ('{"A": [[-1.0, 1.0, 0.0, 0.0], [0.0, -1.0, 1.0, 0.0], '
+                       '[0.0, 1.0, -1.0, 1e-17], [1.0, 0.0, 0.0, -1.0]], "c": [1.0, 0.0, 0.0, -1.0]}')
 QUICK_START = '{"A": [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]], "c": [1.0, 0.0, -1.5]}'
 
 
@@ -492,6 +497,8 @@ MALFORMED_INPUTS = [
               model=UP_ONLY),
     malformed("up-only-simulate", ["simulate", "{m}", "--replications", "5"], 1, "EmptySide",
               model=UP_ONLY),
+    # a model that validates but whose zero-rate block is singular in double precision
+    malformed("singular-zero-block", ["psi", "{m}"], 1, "SingularBlock", model=SINGULAR_ZERO_BLOCK),
 ]
 
 
@@ -540,7 +547,16 @@ OUTPUT_MODES = [
     output_mode("simulate-file", ["simulate", "{m}", "--replications", "20", "--seed", "3",
                                   "--out", "{o}"], ["{m}"],
                 {"replications": 20, "seed": 3, "max_time": 1e4}, {"censored_fraction"}),
+    output_mode("validate-stdout", ["validate", "{m}"], ["{m}"], {}, set()),
+    output_mode("density-stdout", ["density", "{m}", "--x", "0:1:3"], None, None, None),
+    output_mode("case-stdout", ["case", "--id", "1a", "--eps-grid", "1e-3:1e-2:2"],
+                None, None, None),
+    output_mode("simulate-stdout", ["simulate", "{m}", "--replications", "20"], None, None, None),
 ]
+# the header that a CSV on stdout starts with, by verb
+CSV_HEADERS = {"psi": "matrix,row,col,value", "density": "x,pi_0,pi_1",
+               "case": "case_id,eps,e_plus,e_oplus,e_inf,e_minus,e_ominus,slope,r_squared",
+               "simulate": "start,hit,estimate,stderr"}
 
 
 @pytest.mark.parametrize("argv,inputs,options,diagnostics", OUTPUT_MODES)
@@ -552,7 +568,7 @@ def test_manifest_contract(tmp_path, capsys, argv, inputs, options, diagnostics)
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     to_file = "--out" in argv
-    as_json = "--json" in argv or argv[0] == "perturb"
+    as_json = "--json" in argv or argv[0] in ("perturb", "validate")
     # a sibling manifest goes with a CSV file, and with nothing else
     sibling = tmp_path / "out.manifest.json"
     assert sorted(tmp_path.glob("*manifest*")) == ([sibling] if to_file and not as_json else [])
@@ -562,8 +578,11 @@ def test_manifest_contract(tmp_path, capsys, argv, inputs, options, diagnostics)
     elif to_file:
         manifest = json.loads(sibling.read_text())
     else:
-        # a CSV on stdout carries no manifest
-        assert stdout.startswith("matrix,row,col,value\n") and "manifest" not in stdout
+        # a CSV on stdout is the body alone: its header, then rows of as many
+        # fields, with no manifest and no summary
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert rows[0] == CSV_HEADERS[argv[0]].split(",") and "manifest" not in stdout
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
         return
     assert list(manifest) == MANIFEST_KEYS
     assert manifest["command"] == argv

@@ -7,7 +7,7 @@ from mmfq import (censor_zero_phases, load_model, mean_drift,
                   stationary_phase_dist, validate_model, validate_perturbation)
 from mmfq.core import model_to_dict
 from mmfq.errors import (DimensionMismatch, InvalidPerturbation, NotAGenerator,
-                         Reducible)
+                         Reducible, Singular)
 
 from conftest import random_generator, random_recurrent_model
 
@@ -55,6 +55,11 @@ class TestValidateModel:
             validate_model([[-1.0, 1.0], [1.0, -1.0]], [1.0, -1.0, 0.0])
         with pytest.raises(DimensionMismatch):
             validate_model([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]], [1.0, -1.0])
+
+    def test_no_phases(self):
+        # passed every check; mean_drift then failed with SingularSystem
+        with pytest.raises(DimensionMismatch, match="at least one phase"):
+            validate_model(np.zeros((0, 0)), [])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -136,6 +141,12 @@ class TestStationaryDist:
             assert np.abs(xi @ model.A).max() <= 1e-10
             assert xi.min() >= 0.0
             assert abs(xi.sum() - 1.0) < 1e-12
+
+    def test_negative_mass_is_singular(self, two_phase, monkeypatch):
+        # a generator's null vector is nonnegative, so the failure is injected
+        monkeypatch.setattr("mmfq.core.null_row_vector", lambda M: np.array([1.5, -0.5]))
+        with pytest.raises(Singular, match="negative stationary mass"):
+            stationary_phase_dist(two_phase)
 
 
 class TestMeanDrift:

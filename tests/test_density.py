@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import mpmath
@@ -8,7 +9,8 @@ from mmfq import expand, solve_psi, validate_model, validate_perturbation
 from mmfq.bench import case_model
 from mmfq.density import (density1_at, density_at, first_order_law,
                           stationary_law, zero_mass)
-from mmfq.errors import Inconclusive, NotGeneratorKind, NotRecurrent
+from mmfq.errors import (Inconclusive, NotGeneratorKind, NotRecurrent, SingularNormalization,
+                         SingularSystem)
 from mmfq.numerics import _THETA24
 from mmfq.riccati import perturbed_model
 
@@ -41,6 +43,10 @@ def mp_row(model, v, up, psi, theta):
     row[model.i0] = [mpmath.fsum(v[i] * theta[i, j] for i in range(p))
                      for j in range(model.n_zero)]
     return row
+
+
+def raise_singular_system(*args):
+    raise SingularSystem("injected")
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +155,27 @@ class TestStationaryLaw:
         model = validate_model([[-1.0, 1.0], [1.0, -1.0]], [2.0, -1.0])
         with pytest.raises(NotRecurrent):
             stationary_law(model, solve_psi(model))
+
+    @pytest.mark.parametrize("name,replacement,message", [
+        ("null_row_vector", raise_singular_system, "injected"),
+        ("null_row_vector", lambda S: -np.ones(S.shape[0]), "negative boundary mass"),
+        ("solve_linear", lambda M, b: np.full(b.shape, -1e300), "normalization denominator")])
+    def test_singular_normalization(self, five_phase, monkeypatch, name, replacement, message):
+        # a recurrent model gives none of these, so each failure is injected
+        # into the boundary null vector or the normalisation solve
+        model, sol, _ = five_phase
+        monkeypatch.setattr(f"mmfq.density.{name}", replacement)
+        with pytest.raises(SingularNormalization, match=message):
+            stationary_law(model, sol)
+
+    def test_non_finite_row_is_inconclusive(self, five_phase):
+        # the evaluator raises where its own scaling overflows; the row check
+        # catches an exponential whose product with the factors is not finite
+        model, sol, law = five_phase
+        p = model.n_plus
+        law = dataclasses.replace(law, exp_K=lambda x: np.full((p, p), np.inf))
+        with pytest.raises(Inconclusive, match="not finite"):
+            density_at(law, sol.psi, model, 1.0)
 
 
 class TestFirstOrder:

@@ -5,7 +5,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from mmfq import numerics
-from mmfq.errors import Inconclusive, NoConvergence, Singular
+from mmfq.errors import Inconclusive, NoConvergence, Singular, SingularSystem
 from mmfq.numerics import (conv_integral, exp_evaluator, matrix_exp,
                            null_row_vector, solve_linear, solve_sylvester,
                            sylvester_residual, sylvester_solver)
@@ -366,3 +366,8 @@ class TestNullRowVector:
         v = null_row_vector(M)
         assert np.abs(v @ M).max() <= 1e-10 * np.linalg.norm(M, np.inf)
         assert abs(v.sum() - 1.0) < 1e-12
+
+    def test_nonzero_row_sums_fail_the_residual_check(self):
+        # the bordered solve succeeds, but v M = [0, -0.25] for v = [0.5, 0.5]
+        with pytest.raises(SingularSystem, match="residual"):
+            null_row_vector(np.array([[-1.0, 0.5], [1.0, -1.0]]))

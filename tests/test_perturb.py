@@ -7,7 +7,7 @@ from mmfq import (censor_zero_phases, expand, solve_psi, solve_psi_at,
 from mmfq.numerics import stable_spectrum, sylvester_residual
 from mmfq.perturb import qtilde_blocks
 from mmfq.bench import error_norms
-from mmfq.errors import ShapeMismatch
+from mmfq.errors import InnerRiccatiDiverged, NoConvergence, ShapeMismatch
 
 from conftest import (bd_identity_gap, random_generator_direction,
                       random_recurrent_model)
@@ -138,6 +138,18 @@ class TestToPlus:
         model, spec = self.make()
         sol = solve_psi(model)
         fd_ratio_check(model, spec, expand(model, sol, spec))
+
+    def test_inner_divergence_is_reported(self, monkeypatch):
+        # no model is known to make the inner Newton iteration fail, so the
+        # failure is injected; the root solve binds its own newton_riccati
+        model, spec = self.make()
+        sol = solve_psi(model)
+
+        def diverges(*args, **kwargs):
+            raise NoConvergence("injected")
+        monkeypatch.setattr("mmfq.perturb.newton_riccati", diverges)
+        with pytest.raises(InnerRiccatiDiverged, match="injected"):
+            expand(model, sol, spec)
 
 
 class TestToMinus:
