@@ -112,7 +112,7 @@ def cmd_psi(args):
 
 
 def cmd_perturb(args):
-    # a NaN or infinite eps would reach the perturbed generator's validation
+    # a NaN or infinite eps is a malformed option (exit 2), not one the model rejects
     if not np.isfinite(args.eps_check or []).all():
         raise argparse.ArgumentTypeError(f"bad eps-check {args.eps_check!r}, expected finite eps")
     model = load_model(args.model)

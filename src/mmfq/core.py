@@ -27,6 +27,10 @@ class FluidModel:
 
     ``A`` and ``c`` are stored canonically ordered; ``perm`` maps canonical
     position -> original phase index, so ``A == A_orig[perm][:, perm]``.
+    ``xi`` is the stationary distribution of the phase process (xi A = 0,
+    xi 1 = 1, canonical order), solved once by :func:`validate_model`; a
+    rate perturbation keeps ``A`` and inherits it.  ``xi`` is read-only, as
+    are ``A``, ``c`` and ``perm`` of a validated model.
     """
 
     A: np.ndarray
@@ -36,6 +40,7 @@ class FluidModel:
     n_minus: int
     perm: np.ndarray
     labels: tuple[str, ...]
+    xi: np.ndarray
 
     @property
     def n(self) -> int:
@@ -123,6 +128,8 @@ def validate_model(A, c, labels=None) -> FluidModel:
     Checks generator structure (nonnegative off-diagonals, zero row sums
     relative to ``norm(A, inf)``), irreducibility of the transition graph,
     and derives the canonical three-way partition from the signs of ``c``.
+    Solves once for the stationary distribution ``xi``; a null vector with
+    negative mass is ``Singular``.
     """
     A = as_matrix(A, "A")
     c = as_vector(c, "c")
@@ -159,31 +166,41 @@ def validate_model(A, c, labels=None) -> FluidModel:
         raise NotAGenerator(f"row sums deviate from zero by {rowsum:.3e}")
     if not _strongly_connected(off > 0.0):
         raise Reducible("transition graph is not strongly connected")
+    return _partition(A, c, labels)
 
+
+def _partition(A: np.ndarray, c: np.ndarray, labels: tuple[str, ...],
+               xi: np.ndarray | None = None) -> FluidModel:
+    """FluidModel of a checked (A, c): the phases sorted by the sign of ``c``
+    into canonical order, stably.  ``xi`` is A's stationary distribution in
+    A's order; None solves for it on the sorted A."""
     rank = np.where(c > 0, 0, np.where(c == 0, 1, 2))
     perm = np.argsort(rank, kind="stable")
     A_can = A.take(perm, 0).take(perm, 1)
     c_can = c[perm]
-    for arr in (A_can, c_can, perm):
+    if xi is None:
+        xi = null_row_vector(A_can)
+        if xi.min() < -1e-10:
+            raise Singular(f"negative stationary mass {xi.min():.3e}")
+        xi = np.clip(xi, 0.0, None) / np.clip(xi, 0.0, None).sum()
+    else:
+        xi = xi[perm]
+    for arr in (A_can, c_can, perm, xi):
         arr.flags.writeable = False
-    return FluidModel(
-        A=A_can, c=c_can,
-        n_plus=int((c > 0).sum()), n_zero=int((c == 0).sum()),
-        n_minus=int((c < 0).sum()),
-        perm=perm, labels=labels)
+    n_plus, n_zero, n_minus = np.bincount(rank, minlength=3).tolist()
+    return FluidModel(A=A_can, c=c_can, n_plus=n_plus, n_zero=n_zero, n_minus=n_minus,
+                      perm=perm, labels=labels, xi=xi)
 
 
 def stationary_phase_dist(model: FluidModel) -> np.ndarray:
-    """Stationary probability vector of the phase process (canonical order)."""
-    xi = null_row_vector(model.A)
-    if xi.min() < -1e-10:
-        raise Singular(f"negative stationary mass {xi.min():.3e}")
-    return np.clip(xi, 0.0, None) / np.clip(xi, 0.0, None).sum()
+    """Stationary probability vector of the phase process (canonical order):
+    the model's ``xi``, which :func:`validate_model` solved for."""
+    return model.xi
 
 
 def mean_drift(model: FluidModel) -> float:
     """Mean stationary drift; negative drift means positive recurrence."""
-    return float(stationary_phase_dist(model) @ model.c)
+    return float(model.xi @ model.c)
 
 
 def censor_zero_phases(model: FluidModel) -> CensoredBlocks:
@@ -191,8 +208,14 @@ def censor_zero_phases(model: FluidModel) -> CensoredBlocks:
 
     The censored generator on the remaining phases is the restriction of
     ``A`` plus the first-passage correction through the zero-rate block.
+    A model with no zero-rate phase gets A's four blocks and an empty
+    ``inv0``, with no solve.
     """
     ip, i0, im = model.ip, model.i0, model.im
+    if model.n_zero == 0:
+        return CensoredBlocks(
+            Q_pp=model.block(ip, ip), Q_pm=model.block(ip, im),
+            Q_mp=model.block(im, ip), Q_mm=model.block(im, im), inv0=np.zeros((0, 0)))
     p, pm = model.n_plus, model.n_plus + model.n_minus
     # (-A_00)^{-1} applied to the outgoing rows, up columns first, and to I
     rhs = np.eye(model.n_zero, pm + model.n_zero, pm)

@@ -96,8 +96,11 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     if spec.regime == "unaffected":
         keep = np.concatenate([model.ip, model.im])
         b = psi_sol.blocks
+        # a censored chain's stationary law is the original one restricted
+        xi = model.xi[keep] / model.xi[keep].sum()
+        xi.flags.writeable = False
         model = replace(model, A=np.block([[b.Q_pp, b.Q_pm], [b.Q_mp, b.Q_mm]]),
-                        c=model.c[keep], perm=model.perm[keep], n_zero=0)
+                        c=model.c[keep], perm=model.perm[keep], n_zero=0, xi=xi)
         spec = replace(spec, direction=spec.direction[keep])
     ip, im = model.ip, model.im
     io_p, io_m = spec.oplus, spec.ominus

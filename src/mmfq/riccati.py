@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CensoredBlocks, FluidModel, PerturbationSpec, censor_zero_phases,
-                   stationary_phase_dist, validate_model)
+from .core import (CensoredBlocks, FluidModel, PerturbationSpec, _partition,
+                   censor_zero_phases, validate_model)
 from .errors import (EmptySide, InvalidEpsilon, NoConvergence, NotAGenerator,
                      Reducible)
 # solve_linear stays bound because tracers wrap mmfq.riccati.solve_linear by name
@@ -133,7 +133,7 @@ def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb, c_plus):
     eta-sized blocks would cost digits where a rate is tiny.
     """
     cp = c_plus[:, None]
-    xi = stationary_phase_dist(model)
+    xi = model.xi
     z_p, z_m = xi[model.ip] * c_plus, xi[model.im] * model.c_minus_abs
 
     eq = (blocks.Q_pm, blocks.Q_pp, Mu, Mb, cp)
@@ -190,24 +190,30 @@ def perturbed_model(model: FluidModel, spec: PerturbationSpec,
     canonical sort is stable, rows of the perturbed model come out in the
     block order (old up phases, migrated-up phases) and columns in
     (migrated-down phases, old down phases).
+
+    A rate direction leaves ``A`` as it is, so only what changed is checked:
+    eps > 0 where zero-rate phases move, and every nonzero rate keeps its
+    sign; the model keeps ``model.xi``.  A generator direction validates
+    A + eps At in full.  An eps that is not finite, or that takes an entry
+    out of the double range, is an ``InvalidEpsilon``.
     """
+    if not np.isfinite(eps):
+        raise InvalidEpsilon(f"eps={eps} is not finite")
+    # zero-rate phases only leave their class, as the expansion assumes, for eps > 0
+    if spec.kind == "rate" and spec.regime != "unaffected" and not eps > 0:
+        raise InvalidEpsilon(f"eps={eps} must be positive to move zero-rate phases")
+    with np.errstate(over="ignore"):
+        moved = (model.A if spec.kind == "generator" else model.c) + eps * spec.direction
+    if not np.isfinite(moved).all():
+        raise InvalidEpsilon(f"eps={eps} takes the perturbed model out of the double range")
     if spec.kind == "generator":
-        A_eps = model.A + eps * spec.direction
-        c_eps = model.c
-    else:
-        # zero-rate phases only leave their class, as the expansion assumes, for eps > 0
-        if spec.regime != "unaffected" and not eps > 0:
-            raise InvalidEpsilon(f"eps={eps} must be positive to move zero-rate phases")
-        A_eps = model.A
-        c_eps = model.c + eps * spec.direction
-        signs_keep = (np.sign(c_eps[model.ip]) == 1).all() and \
-                     (np.sign(c_eps[model.im]) == -1).all()
-        if not signs_keep:
-            raise InvalidEpsilon(f"eps={eps} flips the sign of a nonzero rate")
-    try:
-        return validate_model(A_eps, c_eps, labels=model.canonical_labels())
-    except (NotAGenerator, Reducible) as exc:
-        raise InvalidEpsilon(f"eps={eps}: {exc}") from exc
+        try:
+            return validate_model(moved, model.c, labels=model.canonical_labels())
+        except (NotAGenerator, Reducible) as exc:
+            raise InvalidEpsilon(f"eps={eps}: {exc}") from exc
+    if not ((moved[:model.n_plus] > 0).all() and (moved[model.n - model.n_minus:] < 0).all()):
+        raise InvalidEpsilon(f"eps={eps} flips the sign of a nonzero rate")
+    return _partition(model.A, moved, model.canonical_labels(), model.xi)
 
 
 def solve_psi_at(model: FluidModel, spec: PerturbationSpec, eps: float,

@@ -34,6 +34,31 @@ def random_recurrent_model(n, rng, signs=None, max_drift=-0.05):
             return model
 
 
+def record_calls(monkeypatch, name):
+    """Wrap the ``mmfq.numerics`` function ``name`` in every ``mmfq`` module
+    that binds it; returns the list that collects each call's arguments."""
+    import sys
+    from mmfq import numerics
+    original, calls = getattr(numerics, name), []
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("mmfq") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def stationary_of(A):
+    """Stationary distribution of the generator ``A``, solved here: its null
+    row vector, clipped at zero and normalised."""
+    from mmfq.numerics import null_row_vector
+    xi = np.clip(null_row_vector(A), 0.0, None)
+    return xi / xi.sum()
+
+
 def random_generator_direction(model, rng, scale=0.3):
     """Zero-row-sum direction (original phase order) with nonnegative
     off-diagonals, so A + eps*dir stays a generator for small eps > 0."""

@@ -9,7 +9,7 @@ from mmfq.core import model_to_dict
 from mmfq.errors import (DimensionMismatch, InvalidPerturbation, NotAGenerator,
                          Reducible, Singular)
 
-from conftest import random_generator, random_recurrent_model
+from conftest import random_generator, random_recurrent_model, record_calls
 
 
 class TestValidateModel:
@@ -142,11 +142,12 @@ class TestStationaryDist:
             assert xi.min() >= 0.0
             assert abs(xi.sum() - 1.0) < 1e-12
 
-    def test_negative_mass_is_singular(self, two_phase, monkeypatch):
-        # a generator's null vector is nonnegative, so the failure is injected
+    def test_negative_mass_is_singular(self, monkeypatch):
+        # a generator's null vector is nonnegative, so the failure is injected;
+        # validate_model solves for the stationary vector
         monkeypatch.setattr("mmfq.core.null_row_vector", lambda M: np.array([1.5, -0.5]))
         with pytest.raises(Singular, match="negative stationary mass"):
-            stationary_phase_dist(two_phase)
+            validate_model([[-1.0, 1.0], [1.0, -1.0]], [1.0, -2.0])
 
 
 class TestMeanDrift:
@@ -177,6 +178,23 @@ class TestCensoring:
         blocks = censor_zero_phases(two_phase)
         assert np.array_equal(blocks.Q_pp, [[-1.0]])
         assert np.array_equal(blocks.Q_pm, [[1.0]])
+
+    def test_no_zero_phases_solves_nothing(self, monkeypatch):
+        # with an empty zero class the censoring formula
+        # Q = A_cc + A_c0 (-A_00)^{-1} A_0c reduces to A's own blocks
+        model = random_recurrent_model(6, np.random.default_rng(16),
+                                       signs=[1, -1, 1, -1, 1, -1])
+        calls = record_calls(monkeypatch, "solve_linear")
+        blocks = censor_zero_phases(model)
+        assert calls == [] and blocks.inv0.shape == (0, 0)
+        p, A = model.n_plus, model.A
+        empty = np.zeros((0, 0))
+        general = (A[:p, :p] + A[:p, p:p] @ empty @ A[p:p, :p],
+                   A[:p, p:] + A[:p, p:p] @ empty @ A[p:p, p:],
+                   A[p:, :p] + A[p:, p:p] @ empty @ A[p:p, :p],
+                   A[p:, p:] + A[p:, p:p] @ empty @ A[p:p, p:])
+        for got, want in zip((blocks.Q_pp, blocks.Q_pm, blocks.Q_mp, blocks.Q_mm), general):
+            assert np.array_equal(got, want)
 
     def test_censored_rows_conserve(self):
         rng = np.random.default_rng(14)

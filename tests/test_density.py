@@ -14,7 +14,8 @@ from mmfq.errors import (Inconclusive, NotGeneratorKind, NotRecurrent, SingularN
 from mmfq.numerics import _THETA24
 from mmfq.riccati import perturbed_model
 
-from conftest import group_inverse, random_generator_direction, random_recurrent_model
+from conftest import (group_inverse, random_generator_direction, random_recurrent_model,
+                      record_calls)
 
 
 def total_mass_by_quadrature(model, sol, law, x_max, n_points=4001):
@@ -406,8 +407,6 @@ def test_zero_block_factored_once(which, monkeypatch):
     # direction, as `mmfq density --pert` runs them: every solve_linear call
     # whose matrix is +-A_00 or its transpose is counted, in every module
     # that binds solve_linear
-    import sys
-    from mmfq import numerics
     rng = np.random.default_rng(70)
     if which == "1a":
         model = case_model("1a")[0]
@@ -415,15 +414,25 @@ def test_zero_block_factored_once(which, monkeypatch):
         model = random_recurrent_model(9, rng, signs=[1, 1, 0, 0, 0, 0, -1, -1, -1])
     A00 = model.block(model.i0, model.i0)
     zero_block = (A00, -A00, A00.T, -A00.T)
-    original, calls = numerics.solve_linear, []
-
-    def counting(M, B):
-        M = np.asarray(M)
-        calls.append(any(M.shape == Z.shape and np.array_equal(M, Z) for Z in zero_block))
-        return original(M, B)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("mmfq") and getattr(module, "solve_linear", None) is original:
-            monkeypatch.setattr(module, "solve_linear", counting)
+    calls = record_calls(monkeypatch, "solve_linear")
     laws(model, random_generator_direction(model, rng))
-    assert sum(calls) == 1
+    assert sum(any(np.shape(M) == Z.shape and np.array_equal(M, Z) for Z in zero_block)
+               for M, _ in calls) == 1
+
+
+@pytest.mark.parametrize("which", ["1a", "four_zero"])
+def test_generator_null_vector_solved_once(which, monkeypatch):
+    # validate_model, then solve_psi, expand, stationary_law and first_order_law
+    # along a generator direction, as `mmfq density --pert` runs them: the
+    # stationary vector of the n x n generator is solved for once, by the
+    # validation, and every later reader takes the model's xi
+    rng = np.random.default_rng(71)
+    if which == "1a":
+        model = case_model("1a")[0]
+    else:
+        model = random_recurrent_model(9, rng, signs=[1, 1, 0, 0, 0, 0, -1, -1, -1])
+    direction = random_generator_direction(model, rng)
+    calls = record_calls(monkeypatch, "null_row_vector")
+    model = validate_model(model.A, model.c)
+    laws(model, direction)
+    assert sum(np.shape(M) == (model.n, model.n) for (M,) in calls) == 1

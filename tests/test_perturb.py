@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +12,7 @@ from mmfq.bench import error_norms
 from mmfq.errors import InnerRiccatiDiverged, NoConvergence, ShapeMismatch
 
 from conftest import (bd_identity_gap, random_generator_direction,
-                      random_recurrent_model)
+                      random_recurrent_model, stationary_of)
 
 
 def fd_ratio_check(model, spec, expansion, eps_list=(1e-2, 1e-3, 1e-4),
@@ -357,3 +359,55 @@ class TestOneSidedClosedForms:
                   + (psi / model.c_minus_abs[None, :]) @ model.block(im, io)) \
             @ (N * np.abs(spec.direction[io])[None, :])
         assert np.abs(exp.psi1[:, :model.n_zero] - closed).max() <= 1e-12
+
+
+class TestStationaryField:
+    """Every FluidModel the library builds carries the stationary
+    distribution of its own A, read-only."""
+
+    @staticmethod
+    def assert_own_xi(model):
+        assert np.abs(model.xi - stationary_of(model.A)).max() <= 1e-14
+        assert not model.xi.flags.writeable
+
+    def test_validated_and_perturbed_models(self):
+        from mmfq.riccati import perturbed_model
+        rng = np.random.default_rng(80)
+        model = rate_model_with_zeros(rng, n_plus=2, n_zero=4, n_minus=3)
+        self.assert_own_xi(model)
+        labels = model.canonical_labels()
+        for kind, direction, eps_list in (
+                ("generator", random_generator_direction(model, rng), (1e-4, 1e-2, 0.5)),
+                ("rate", [0.3, -0.2, 0.7, -0.4, 0.9, -1.1, 0.2, 0.1, -0.3], (1e-4, 1e-2, 0.3)),
+                ("rate", [0.3, -0.2, 0.0, 0.0, 0.0, 0.0, 0.2, 0.1, -0.3], (-0.1, 1e-2, 0.3))):
+            spec = validate_perturbation(model, kind, direction)
+            for eps in eps_list:
+                pmodel = perturbed_model(model, spec, eps)
+                self.assert_own_xi(pmodel)
+                if kind == "rate":
+                    # the partition of checked rates is validate_model's
+                    ref = validate_model(model.A, model.c + eps * spec.direction, labels)
+                    for name in ("A", "c", "perm"):
+                        assert np.array_equal(getattr(pmodel, name), getattr(ref, name))
+                    for name in ("labels", "n_plus", "n_zero", "n_minus"):
+                        assert getattr(pmodel, name) == getattr(ref, name)
+
+    def test_censored_model_of_the_unaffected_regime(self, monkeypatch):
+        # expand censors the zero-rate phases out; the model it builds for
+        # the elimination carries the censored chain's stationary law
+        rng = np.random.default_rng(81)
+        model = rate_model_with_zeros(rng)
+        spec = validate_perturbation(model, "rate", [0.4, -0.3, 0, 0, 0, 0.2, -0.5, 0.1])
+        assert spec.regime == "unaffected"
+        built = []
+
+        def recording(obj, **changes):
+            out = dataclasses.replace(obj, **changes)
+            built.append(out)
+            return out
+
+        monkeypatch.setattr("mmfq.perturb.replace", recording)
+        expand(model, solve_psi(model), spec)
+        censored = [m for m in built if hasattr(m, "xi")]
+        assert len(censored) == 1 and censored[0].n == model.n_plus + model.n_minus
+        self.assert_own_xi(censored[0])

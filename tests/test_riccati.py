@@ -1,17 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
 
-from mmfq import (solve_psi, solve_psi_at, stationary_phase_dist, validate_model,
+from mmfq import (expand, solve_psi, solve_psi_at, stationary_phase_dist, validate_model,
                   validate_perturbation)
-from mmfq.bench import CASE_IDS, case_model
+from mmfq.bench import CASE_IDS, case_model, error_norms
 from mmfq.core import censor_zero_phases
 from mmfq.errors import EmptySide, InvalidEpsilon, NoConvergence
 from mmfq.numerics import stable_spectrum
 from mmfq.riccati import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, FLOOR_FACTOR,
                           newton_riccati, perturbed_model)
 
-from conftest import oracle_psi, random_generator, random_recurrent_model
+from conftest import oracle_psi, random_generator, random_recurrent_model, record_calls
 
 
 class TestTwoPhaseClosedForm:
@@ -329,6 +331,42 @@ class TestSolvePsiAt:
         spec = validate_perturbation(model, "rate", [-1.0, 0.0])
         with pytest.raises(InvalidEpsilon):
             solve_psi_at(model, spec, 2.0)
+
+    @pytest.mark.parametrize("kind,direction", [
+        ("rate", [2.0, 0.0]), ("generator", [[-2.0, 2.0], [2.0, -2.0]])])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), 1e308])
+    def test_eps_out_of_double_range(self, two_phase, kind, direction, eps):
+        # the suite turns a RuntimeWarning into an error, so an eps that is
+        # not finite, or whose perturbed entries overflow, must raise cleanly
+        spec = validate_perturbation(two_phase, kind, direction)
+        for call in (perturbed_model, solve_psi_at):
+            with pytest.raises(InvalidEpsilon, match=re.escape(f"eps={eps}")):
+                call(two_phase, spec, eps)
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_sweep_cells_match_a_validated_model(self, case_id):
+        # the rate-perturbed model inherits its xi instead of solving for it;
+        # the negative-drift shift reads xi only through the drift's sign, so
+        # every sweep cell equals a solve of the same rates validated afresh
+        model, spec = case_model(case_id)
+        for eps in np.logspace(-4, -2, 20):
+            sol, _ = solve_psi_at(model, spec, float(eps))
+            ref = solve_psi(validate_model(model.A, model.c + float(eps) * spec.direction,
+                                           labels=model.canonical_labels()))
+            for name in ("psi", "U", "K"):
+                assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes()
+            assert sol.iterations == ref.iterations
+            assert sol.residual_history == ref.residual_history
+
+    def test_sweep_cell_solves_no_null_vector(self, case_1a, monkeypatch):
+        # one cell of the benchmark sweep: a direct solve at eps and its norms
+        model, spec = case_1a
+        expansion = expand(model, solve_psi(model), spec)
+        calls = record_calls(monkeypatch, "null_row_vector")
+        for eps in (1e-4, 1e-2):
+            sol, pmodel = solve_psi_at(model, spec, eps)
+            error_norms(model, sol, pmodel, expansion, eps)
+        assert calls == []
 
     def test_eps_zero_moves_no_zero_rate_phase(self, case_1a):
         # the perturbed partition would not match the expansion's migrated phases
