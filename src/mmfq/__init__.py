@@ -3,8 +3,7 @@ expansions and stationary densities."""
 
 from .core import (CensoredBlocks, FluidModel, PerturbationSpec,
                    censor_zero_phases, load_model, mean_drift,
-                   stationary_phase_dist, validate_model,
-                   validate_perturbation)
+                   validate_model, validate_perturbation)
 from .riccati import PsiSolution, solve_psi, solve_psi_at
 from .perturb import PsiExpansion, SeriesBlocks, expand, load_perturbation
 from .density import (FirstOrderLaw, StationaryLaw, density1_at, density_at,
@@ -23,7 +22,7 @@ __all__ = [
     "error_norms", "estimate_density", "estimate_psi", "expand",
     "first_order_law", "load_model", "load_perturbation", "mean_drift",
     "run_case", "solve_psi", "solve_psi_at",
-    "stationary_law", "stationary_phase_dist", "validate_model",
+    "stationary_law", "validate_model",
     "validate_perturbation", "zero_mass",
     "__version__",
 ]

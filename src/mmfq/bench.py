@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FluidModel, validate_model, validate_perturbation
+from .core import FluidModel, mean_drift, validate_model, validate_perturbation
 from .errors import Infeasible, ShapeMismatch, UnknownCase
 from .perturb import PsiExpansion, expand
 from .riccati import PsiSolution, solve_psi, solve_psi_at
-from . import core
 
 CASE_IDS = ("1a", "2a", "3a", "1b", "2b", "3b")
 # phases per rate class: every case has 3 * CASE_M = 15 phases
@@ -153,7 +152,7 @@ def calibrate_rminus(A: np.ndarray, r_plus: float,
     m = n // 3
     probe = validate_model(A, np.concatenate(
         [np.ones(m), np.zeros(m), -np.ones(m)]))
-    xi = probe.unpermute(core.stationary_phase_dist(probe))
+    xi = probe.unpermute(probe.xi)
     r_minus = (target_drift - r_plus * xi[:m].sum()) / xi[2 * m:].sum()
     if r_minus >= 0:
         raise Infeasible(f"calibrated down rate {r_minus:.3e} is not negative")
@@ -258,4 +257,4 @@ def run_case(case_id: str, eps_grid: np.ndarray | None = None) -> CaseResult:
     slope, r2 = fit_slope(eps_grid, column["e_inf"])
     return CaseResult(case_id=case_id, eps_grid=eps_grid, **column, slope=slope,
                       r_squared=r2, r_minus=float(model.c[-1]),
-                      drift=core.mean_drift(model))
+                      drift=mean_drift(model))

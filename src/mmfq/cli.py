@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, bench, density, perturb, simulate
-from .core import load_model, mean_drift, stationary_phase_dist
+from .core import load_model, mean_drift
 from .errors import FluidQueueError, UnknownCase
 from .riccati import DEFAULT_MAX_NEWTON, DEFAULT_TOL, solve_psi, solve_psi_at
 
@@ -74,7 +74,7 @@ def _grid(spec: str, log: bool) -> np.ndarray:
 
 def cmd_validate(args):
     model = load_model(args.model)
-    xi = model.unpermute(stationary_phase_dist(model))
+    xi = model.unpermute(model.xi)
     drift = mean_drift(model)
     report = {
         "phases": model.n,

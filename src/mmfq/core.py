@@ -23,14 +23,14 @@ ROWSUM_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class FluidModel:
-    """Validated fluid model in canonical phase order.
+    """Fluid model in canonical phase order, built only by :func:`_partition`.
 
     ``A`` and ``c`` are stored canonically ordered; ``perm`` maps canonical
     position -> original phase index, so ``A == A_orig[perm][:, perm]``.
     ``xi`` is the stationary distribution of the phase process (xi A = 0,
     xi 1 = 1, canonical order), solved once by :func:`validate_model`; a
-    rate perturbation keeps ``A`` and inherits it.  ``xi`` is read-only, as
-    are ``A``, ``c`` and ``perm`` of a validated model.
+    rate perturbation keeps ``A`` and inherits it.  ``xi``, ``A``, ``c`` and
+    ``perm`` are read-only.
     """
 
     A: np.ndarray
@@ -122,12 +122,19 @@ def _strongly_connected(adj: np.ndarray) -> bool:
     return bool(reach.all())
 
 
+def _rates_in_range(norm: float, rates: np.ndarray) -> bool:
+    """Whether norm / |r| is finite for each nonzero rate r a solve divides by."""
+    r = np.abs(rates[rates != 0.0])
+    return not r.size or float(norm) / float(r.min()) < np.inf
+
+
 def validate_model(A, c, labels=None) -> FluidModel:
     """Validate a generator / rate-vector pair and build a FluidModel.
 
     Checks generator structure (nonnegative off-diagonals, zero row sums
-    relative to ``norm(A, inf)``), irreducibility of the transition graph,
-    and derives the canonical three-way partition from the signs of ``c``.
+    relative to ``norm(A, inf)``), irreducibility of the transition graph
+    and that ``norm(A, inf) / |c_i|`` is finite for every nonzero rate, and
+    derives the canonical three-way partition from the signs of ``c``.
     Solves once for the stationary distribution ``xi``; a null vector with
     negative mass is ``Singular``.
     """
@@ -156,6 +163,8 @@ def validate_model(A, c, labels=None) -> FluidModel:
         norm = _inf_norm(A)
     if not np.isfinite(norm):
         raise NotAGenerator("inf-norm of A overflows")
+    if not _rates_in_range(norm, c):
+        raise DimensionMismatch("c has a nonzero rate too small to divide A by")
     tol = ROWSUM_RTOL * norm
     off = A.copy()
     np.fill_diagonal(off, 0.0)
@@ -171,9 +180,9 @@ def validate_model(A, c, labels=None) -> FluidModel:
 
 def _partition(A: np.ndarray, c: np.ndarray, labels: tuple[str, ...],
                xi: np.ndarray | None = None) -> FluidModel:
-    """FluidModel of a checked (A, c): the phases sorted by the sign of ``c``
-    into canonical order, stably.  ``xi`` is A's stationary distribution in
-    A's order; None solves for it on the sorted A."""
+    """The builder of every FluidModel, from a checked (A, c): phases sorted
+    stably by the sign of ``c`` into canonical order.  ``xi`` is A's stationary
+    distribution in A's order; None solves for it on the sorted A."""
     rank = np.where(c > 0, 0, np.where(c == 0, 1, 2))
     perm = np.argsort(rank, kind="stable")
     A_can = A.take(perm, 0).take(perm, 1)
@@ -190,12 +199,6 @@ def _partition(A: np.ndarray, c: np.ndarray, labels: tuple[str, ...],
     n_plus, n_zero, n_minus = np.bincount(rank, minlength=3).tolist()
     return FluidModel(A=A_can, c=c_can, n_plus=n_plus, n_zero=n_zero, n_minus=n_minus,
                       perm=perm, labels=labels, xi=xi)
-
-
-def stationary_phase_dist(model: FluidModel) -> np.ndarray:
-    """Stationary probability vector of the phase process (canonical order):
-    the model's ``xi``, which :func:`validate_model` solved for."""
-    return model.xi
 
 
 def mean_drift(model: FluidModel) -> float:
@@ -274,7 +277,7 @@ def validate_perturbation(model: FluidModel, kind: str, direction) -> Perturbati
     stays a generator for small positive ``eps``.  Rate directions must be
     uniformly zero, positive or negative on the zero-rate phases
     (or sign-split, which is the general regime); mixing zero and nonzero
-    entries there is rejected.
+    entries there, or an entry too small to divide ``A`` by, is rejected.
     """
     if kind == "generator":
         D = as_matrix(direction, "direction")
@@ -304,6 +307,8 @@ def validate_perturbation(model: FluidModel, kind: str, direction) -> Perturbati
         if on_zero.size and np.any(on_zero == 0.0) and np.any(on_zero != 0.0):
             raise InvalidPerturbation(
                 "mixed zero and nonzero rate perturbation on zero-rate phases")
+        if not _rates_in_range(_inf_norm(model.A), on_zero):
+            raise InvalidPerturbation("rate direction too small on a zero-rate phase")
         oplus = model.i0[on_zero > 0]
         ominus = model.i0[on_zero < 0]
         if oplus.size == 0 and ominus.size == 0:

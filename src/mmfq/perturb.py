@@ -23,7 +23,7 @@ migrating-down and down phase classes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,20 +68,17 @@ class SeriesBlocks:
     k_m1_op_p: np.ndarray
 
 
-def _inv(M: np.ndarray) -> np.ndarray:
-    return solve_linear(M, np.eye(M.shape[0]))
-
-
 def _eliminate(model: FluidModel, psi_sol: PsiSolution,
                spec: PerturbationSpec) -> PsiExpansion:
     """Expansion of a rate perturbation, any regime.
 
     An empty migrating class (om for ``to_plus``, op for ``to_minus``, both
-    for ``unaffected``) enters every step as a zero-size block.  Zero-rate
-    phases that keep rate zero enter no block, so they are censored out
-    first, by the root solve's censoring.  The elimination order, each step
-    obtained by collecting powers of eps in the four block components of the
-    perturbed Riccati equation:
+    for ``unaffected``) enters every step as a zero-size block.  Blocks are
+    read from ``model.A`` at the base model's canonical positions; in the
+    ``unaffected`` regime the zero-rate phases enter no block, and the (up,
+    down) blocks are the root solve's censored ones, ``psi_sol.blocks``.
+    The elimination order, each step obtained by collecting powers of eps
+    in the four block components of the perturbed Riccati equation:
 
     1. eps^{-1} of the (op, om) block: inner Riccati equation for psi_op_om
        with the perturbation rates as fluid rates.
@@ -93,21 +90,20 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
        psi1_p_m; substituting the first two into the third leaves one
        Sylvester equation for psi1_p_m, then back-substitution.
     """
-    if spec.regime == "unaffected":
-        keep = np.concatenate([model.ip, model.im])
-        b = psi_sol.blocks
-        # a censored chain's stationary law is the original one restricted
-        xi = model.xi[keep] / model.xi[keep].sum()
-        xi.flags.writeable = False
-        model = replace(model, A=np.block([[b.Q_pp, b.Q_pm], [b.Q_mp, b.Q_mm]]),
-                        c=model.c[keep], perm=model.perm[keep], n_zero=0, xi=xi)
-        spec = replace(spec, direction=spec.direction[keep])
     ip, im = model.ip, model.im
     io_p, io_m = spec.oplus, spec.ominus
+    A = model.A
+    if spec.regime == "unaffected":
+        b, ic, A = psi_sol.blocks, np.concatenate([ip, im]), A.copy()
+        A[np.ix_(ic, ic)] = np.block([[b.Q_pp, b.Q_pm], [b.Q_mp, b.Q_mm]])
+
+    def block(rows, cols):
+        return A.take(rows, 0).take(cols, 1)
+
     psi = psi_sol.psi
     cp = model.c_plus[:, None]
     cm_row = model.c_minus_abs[:, None]
-    cm_col = model.c_minus_abs[None, :]
+    psi_cm = psi / model.c_minus_abs[None, :]
     ct_p = spec.direction[ip]
     ct_m = spec.direction[im]
     ct_op = spec.direction[io_p][:, None]
@@ -118,9 +114,8 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     #    + X |Ct_om^{-1}| A_om,om + X |Ct_om^{-1}| A_om,op X = 0
     try:
         psi_op_om, _, _ = newton_riccati(
-            model.block(io_p, io_m), model.block(io_p, io_p),
-            model.block(io_m, io_m) / ct_om_row,
-            model.block(io_m, io_p) / ct_om_row, spec.direction[io_p])
+            block(io_p, io_m), block(io_p, io_p), block(io_m, io_m) / ct_om_row,
+            block(io_m, io_p) / ct_om_row, spec.direction[io_p])
     except NoConvergence as exc:
         raise InnerRiccatiDiverged(str(exc)) from exc
 
@@ -128,32 +123,30 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     # partition the op rows of K(eps) carry 1/(eps Ct_op); they do not
     # involve psi_op_m
     psi_op_om_cm = psi_op_om / ct_om_col
-    k_m1_op_op = model.block(io_p, io_p) / ct_op + psi_op_om_cm @ model.block(io_m, io_p)
-    k_m1_op_p = model.block(io_p, ip) / ct_op + psi_op_om_cm @ model.block(io_m, ip)
-    neg_k_inv = _inv(-k_m1_op_op)
+    k_m1_op_op = block(io_p, io_p) / ct_op + psi_op_om_cm @ block(io_m, io_p)
+    k_m1_op_p = block(io_p, ip) / ct_op + psi_op_om_cm @ block(io_m, ip)
+    neg_k_inv = solve_linear(-k_m1_op_op, np.eye(len(io_p)))
 
     # 2. psi_op_m = (-K_m1_op_op)^{-1} (Ct_op^{-1}(A_op,m + A_op,p psi)
     #               + psi_op_om |Ct_om^{-1}| (A_om,m + A_om,p psi))
+    a_om_m = block(io_m, im) + block(io_m, ip) @ psi
     psi_op_m = neg_k_inv @ (
-        (model.block(io_p, im) + model.block(io_p, ip) @ psi) / ct_op
-        + psi_op_om_cm @ (model.block(io_m, im) + model.block(io_m, ip) @ psi))
+        (block(io_p, im) + block(io_p, ip) @ psi) / ct_op + psi_op_om_cm @ a_om_m)
 
     # blocks eps^{-1} (om, om), (om, m) and eps^0 (m, m), (m, om) of
     # U(eps) = |C-(eps)^{-1}| (A_{--} + A_{-+} Psi(eps)), rows (om, m); the
     # om rows carry 1/(eps |Ct_om|)
-    u_m1_om_om = (model.block(io_m, io_m) + model.block(io_m, io_p) @ psi_op_om) / ct_om_row
-    u_m1_om_m = (model.block(io_m, im) + model.block(io_m, ip) @ psi
-                 + model.block(io_m, io_p) @ psi_op_m) / ct_om_row
-    u_0_m_m = (model.block(im, im) + model.block(im, ip) @ psi
-               + model.block(im, io_p) @ psi_op_m) / cm_row
-    u_0_m_om = (model.block(im, io_m) + model.block(im, io_p) @ psi_op_om) / cm_row
-    neg_u_inv = _inv(-u_m1_om_om)
+    u_m1_om_om = (block(io_m, io_m) + block(io_m, io_p) @ psi_op_om) / ct_om_row
+    u_m1_om_m = (a_om_m + block(io_m, io_p) @ psi_op_m) / ct_om_row
+    u_0_m_m = (block(im, im) + block(im, ip) @ psi + block(im, io_p) @ psi_op_m) / cm_row
+    a_m_om = block(im, io_m) + block(im, io_p) @ psi_op_om
+    u_0_m_om = a_m_om / cm_row
+    neg_u_inv = solve_linear(-u_m1_om_om, np.eye(len(io_m)))
 
     # 3. psi1_p_om = (C+^{-1}(A_p,om + A_p,op psi_op_om)
     #               + psi |C-^{-1}| (A_m,om + A_m,op psi_op_om)) (-U_m1_om_om)^{-1}
-    psi1_p_om = ((model.block(ip, io_m) + model.block(ip, io_p) @ psi_op_om) / cp
-                 + (psi / cm_col) @ (model.block(im, io_m)
-                                     + model.block(im, io_p) @ psi_op_om)) @ neg_u_inv
+    a_p_om = (block(ip, io_m) + block(ip, io_p) @ psi_op_om) / cp
+    psi1_p_om = (a_p_om + psi_cm @ a_m_om) @ neg_u_inv
 
     # 4. Sylvester for psi1_op_om:
     #    K_m1_op_op X + X U_m1_om_om = -K_m1_op_p psi1_p_om
@@ -163,17 +156,15 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
         -k_m1_op_p @ psi1_p_om - psi_op_m @ u_0_m_om)
 
     # eps^0 (om, om) block of U(eps), from Psi(eps) = Psi_bar + eps Psi1 + O(eps^2)
-    u_0_om_om = (model.block(io_m, ip) @ psi1_p_om
-                 + model.block(io_m, io_p) @ psi1_op_om) / ct_om_row
+    u_0_om_om = (block(io_m, ip) @ psi1_p_om + block(io_m, io_p) @ psi1_op_om) / ct_om_row
 
     # eps^0 block (p, op) of K(eps), including the contribution of
     # psi1_p_om through the om rows of |C-(eps)^{-1}|
-    k_0_p_op = model.block(ip, io_p) / cp + (psi / cm_col) @ model.block(im, io_p) \
-        + (psi1_p_om / ct_om_col) @ model.block(io_m, io_p)
+    k_0_p_op = block(ip, io_p) / cp + psi_cm @ block(im, io_p) \
+        + (psi1_p_om / ct_om_col) @ block(io_m, io_p)
 
     # eps^1 coefficient of U_m,om(eps)
-    u_1_m_om = (model.block(im, ip) @ psi1_p_om
-                + model.block(im, io_p) @ psi1_op_om) / cm_row \
+    u_1_m_om = (block(im, ip) @ psi1_p_om + block(im, io_p) @ psi1_op_om) / cm_row \
         + (ct_m[:, None] / cm_row) * u_0_m_om
 
     # 5. eps^1 of the (p, om) block fixes psi2_p_om = (G + X u_0_m_om) (-U_m1)^{-1}
@@ -182,16 +173,15 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     #        + C+^{-1} (A_pp psi1_p_om + A_p,op psi1_op_om)
     #        + psi1_p_om u_0_om_om + psi u_1_m_om
     ct_p_scale = (ct_p / model.c_plus)[:, None]
-    G = -ct_p_scale * ((model.block(ip, io_m) + model.block(ip, io_p) @ psi_op_om) / cp) \
-        + (model.block(ip, ip) @ psi1_p_om + model.block(ip, io_p) @ psi1_op_om) / cp \
+    G = -ct_p_scale * a_p_om \
+        + (block(ip, ip) @ psi1_p_om + block(ip, io_p) @ psi1_op_om) / cp \
         + psi1_p_om @ u_0_om_om + psi @ u_1_m_om
 
     # substitute steps 2' and 5 into the eps^1 coefficient of the (p, m)
     # block; the Sylvester operator pair collapses to the censored (K, U)
     # of the base model, so the root solve's pair is used
-    r1 = ct_p_scale * ((model.block(ip, im) + model.block(ip, ip) @ psi
-                        + model.block(ip, io_p) @ psi_op_m) / cp) \
-        - ((psi / cm_col) * ct_m[None, :]) @ u_0_m_m
+    r1 = ct_p_scale * ((block(ip, im) + block(ip, ip) @ psi + block(ip, io_p) @ psi_op_m) / cp) \
+        - (psi_cm * ct_m[None, :]) @ u_0_m_m
     w0 = psi1_op_om @ u_m1_om_m + psi_op_m @ u_0_m_m
     rhs = r1 - k_0_p_op @ neg_k_inv @ w0 - G @ neg_u_inv @ u_m1_om_m
     psi1_p_m = solve_sylvester(psi_sol.K, psi_sol.U, rhs)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CensoredBlocks, FluidModel, PerturbationSpec, _partition,
-                   censor_zero_phases, validate_model)
-from .errors import (EmptySide, InvalidEpsilon, NoConvergence, NotAGenerator,
-                     Reducible)
+                   _rates_in_range, censor_zero_phases, validate_model)
+from .errors import (DimensionMismatch, EmptySide, InvalidEpsilon, NoConvergence,
+                     NotAGenerator, Reducible)
 # solve_linear stays bound because tracers wrap mmfq.riccati.solve_linear by name
 from .numerics import _inf_norm, solve_linear, stable_spectrum, sylvester_solver  # noqa: F401
 
@@ -119,8 +119,7 @@ def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
 
 def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb, c_plus):
     """One Newton step from X on a shifted equation: the new X, its residual
-    and U = Mu + Mb X, with ``c_plus`` the up rates.  (The name is older
-    than the method; tracers wrap it.)
+    and U = Mu + Mb X, ``c_plus`` the up rates.  Tracers wrap it by this name.
 
     Near zero drift spec(K) nearly touches spec(-U), and X is far less
     accurate than its residual says.  A rank-one shift keeps psi a root and
@@ -192,10 +191,10 @@ def perturbed_model(model: FluidModel, spec: PerturbationSpec,
     (migrated-down phases, old down phases).
 
     A rate direction leaves ``A`` as it is, so only what changed is checked:
-    eps > 0 where zero-rate phases move, and every nonzero rate keeps its
-    sign; the model keeps ``model.xi``.  A generator direction validates
-    A + eps At in full.  An eps that is not finite, or that takes an entry
-    out of the double range, is an ``InvalidEpsilon``.
+    eps > 0 where zero-rate phases move, every rate keeps or takes its sign
+    and norm(A, inf) / |r| stays finite; the model keeps ``model.xi``.  A
+    generator direction validates A + eps At in full.  A non-finite eps, or
+    one that takes an entry out of the double range, is ``InvalidEpsilon``.
     """
     if not np.isfinite(eps):
         raise InvalidEpsilon(f"eps={eps} is not finite")
@@ -209,10 +208,13 @@ def perturbed_model(model: FluidModel, spec: PerturbationSpec,
     if spec.kind == "generator":
         try:
             return validate_model(moved, model.c, labels=model.canonical_labels())
-        except (NotAGenerator, Reducible) as exc:
+        except (DimensionMismatch, NotAGenerator, Reducible) as exc:
             raise InvalidEpsilon(f"eps={eps}: {exc}") from exc
     if not ((moved[:model.n_plus] > 0).all() and (moved[model.n - model.n_minus:] < 0).all()):
         raise InvalidEpsilon(f"eps={eps} flips the sign of a nonzero rate")
+    nonzero = model.n - model.n_zero + spec.oplus.size + spec.ominus.size
+    if np.count_nonzero(moved) < nonzero or not _rates_in_range(_inf_norm(model.A), moved):
+        raise InvalidEpsilon(f"eps={eps} leaves a rate too small to divide A by")
     return _partition(model.A, moved, model.canonical_labels(), model.xi)
 
 

@@ -22,6 +22,7 @@ replications).
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ class SimConfig:
     burn_in: float = 0.0
 
     def __post_init__(self):
+        # a float seed would draw another seed's streams
+        if not all(isinstance(v, numbers.Integral) for v in (self.replications, self.seed)):
+            raise ValueError("replications and seed must be integers")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not 0.0 < self.max_time < np.inf:
@@ -111,7 +115,7 @@ def _next_phase(cum, target, ph, u):
 def _stream(seed: int, key: int) -> np.random.Generator:
     """The Philox stream keyed by (seed mod 2**64, key)."""
     return np.random.Generator(np.random.Philox(
-        key=np.array([seed % (1 << 64), key], dtype=np.uint64)))
+        key=np.array([int(seed) % (1 << 64), key], dtype=np.uint64)))
 
 
 def estimate_psi(model: FluidModel, cfg: SimConfig) -> PsiEstimate:

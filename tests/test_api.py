@@ -2,7 +2,8 @@
 every one of them resolves; so does every library attribute that the
 benchmark's tracer wraps, the README's quick start runs and its usage block
 names every CLI option.  Each module
-imports from the package only the modules of its row in ``IMPORTS``."""
+imports from the package only the modules of its row in ``IMPORTS``, and
+each model object has one builder."""
 
 import ast
 import importlib.util
@@ -19,7 +20,7 @@ PUBLIC_NAMES = [
     "error_norms", "estimate_density", "estimate_psi", "expand",
     "first_order_law", "load_model", "load_perturbation", "mean_drift",
     "run_case", "solve_psi", "solve_psi_at",
-    "stationary_law", "stationary_phase_dist", "validate_model",
+    "stationary_law", "validate_model",
     "validate_perturbation", "zero_mass",
     "__version__",
 ]
@@ -102,3 +103,33 @@ def test_import_layering():
                 found[name] |= {node.module.split(".")[0]} if node.module \
                     else {alias.name for alias in node.names} & trees.keys()
     assert found == IMPORTS
+
+
+def _called_names(node, scope):
+    """(called name, enclosing function) of every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            yield getattr(func, "id", getattr(func, "attr", None)), scope
+        yield from _called_names(
+            child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+
+def test_one_builder_per_model_object():
+    # a FluidModel is built only by core._partition and a PerturbationSpec
+    # only by core.validate_perturbation; no module copies one with
+    # dataclasses.replace
+    src = Path(__file__).resolve().parents[1] / "src" / "mmfq"
+    builders = {"FluidModel": set(), "PerturbationSpec": set()}
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for name, scope in _called_names(tree, "<module>"):
+            if name in builders:
+                builders[name].add(f"{path.stem}.{scope}")
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                        and "replace" in {alias.name for alias in node.names}), path.name
+            assert not (isinstance(node, ast.Attribute) and node.attr == "replace"
+                        and getattr(node.value, "id", None) == "dataclasses"), path.name
+    assert builders == {"FluidModel": {"core._partition"},
+                        "PerturbationSpec": {"core.validate_perturbation"}}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mmfq import solve_psi, solve_psi_at, stationary_phase_dist, validate_model
+from mmfq import solve_psi, solve_psi_at, validate_model
 from mmfq.bench import (CASE_IDS, CASE_TARGET_DRIFT, R_PLUS, build_alternating,
                         build_mm1n, calibrate_rminus, case_model,
                         corrected_reference_norms, error_norms, fit_slope,
@@ -40,7 +40,7 @@ class TestBuilders:
         A = build_alternating(5, 1.0, 1.0)
         model = validate_model(A, np.concatenate(
             [np.ones(5), np.zeros(5), -np.ones(5)]))
-        xi = model.unpermute(stationary_phase_dist(model))
+        xi = model.unpermute(model.xi)
         binom = np.array([math.comb(14, k) for k in range(15)], dtype=float)
         binom /= binom.sum()
         assert np.abs(xi - binom).max() < 1e-12

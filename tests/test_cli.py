@@ -395,6 +395,8 @@ def test_help_and_version_exit_zero(capsys, argv, text):
 TWO_PHASE = '{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [1.0, -2.0]}'
 UP_ONLY = '{"A": [[0.0]], "c": [1.0]}'
 NAN_RATE = '{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [NaN, -2.0]}'
+# norm(A) / 1e-320 overflows
+TINY_RATE = '{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [1e-320, -1.0]}'
 GENERATOR = '{"kind": "generator", "direction": [[-2.0, 2.0], [0.0, 0.0]]}'
 RATE = '{"kind": "rate", "direction": [0.1, 0.0]}'
 # inf-norm 2e308 overflows: numpy warned on stderr, and the row-sum tolerance was infinite
@@ -497,6 +499,22 @@ MALFORMED_INPUTS = [
               model=UP_ONLY),
     malformed("up-only-simulate", ["simulate", "{m}", "--replications", "5"], 1, "EmptySide",
               model=UP_ONLY),
+    # psi warned and wrote NaN with exit 0; density and perturb ended in a
+    # ValueError traceback, and so did perturb on a direction this small
+    malformed("tiny-rate-psi", ["psi", "{m}"], 1, "DimensionMismatch", model=TINY_RATE),
+    malformed("tiny-rate-density", ["density", "{m}", "--x", "0:1:3"], 1, "DimensionMismatch",
+              model=TINY_RATE),
+    malformed("tiny-rate-perturb", ["perturb", "{m}", "{p}"], 1, "DimensionMismatch",
+              model=TINY_RATE, pert=RATE),
+    malformed("tiny-rate-direction", ["perturb", "{m}", "{p}"], 1, "InvalidPerturbation",
+              model=QUICK_START, pert='{"kind": "rate", "direction": [0.0, 1e-320, 0.0]}'),
+    # the migrated rate 8e-321 warned, then NoConvergence; 5e-324 rounds it to 0
+    malformed("tiny-rate-eps", ["perturb", "{m}", "{p}", "--eps-check", "1e-320"], 1,
+              "InvalidEpsilon", model=QUICK_START,
+              pert='{"kind": "rate", "direction": [0.0, 0.8, 0.0]}'),
+    malformed("rounded-rate-eps", ["perturb", "{m}", "{p}", "--eps-check", "5e-324"], 1,
+              "InvalidEpsilon", model=QUICK_START,
+              pert='{"kind": "rate", "direction": [0.0, 0.8, 0.0]}'),
     # a model that validates but whose zero-rate block is singular in double precision
     malformed("singular-zero-block", ["psi", "{m}"], 1, "SingularBlock", model=SINGULAR_ZERO_BLOCK),
 ]

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mmfq import (censor_zero_phases, load_model, mean_drift,
-                  stationary_phase_dist, validate_model, validate_perturbation)
+from mmfq import (censor_zero_phases, load_model, mean_drift, validate_model,
+                  validate_perturbation)
 from mmfq.core import model_to_dict
 from mmfq.errors import (DimensionMismatch, InvalidPerturbation, NotAGenerator,
                          Reducible, Singular)
@@ -60,6 +60,25 @@ class TestValidateModel:
         # passed every check; mean_drift then failed with SingularSystem
         with pytest.raises(DimensionMismatch, match="at least one phase"):
             validate_model(np.zeros((0, 0)), [])
+
+    @pytest.mark.parametrize("c_up", [1e-320, 6e-309])
+    def test_rate_too_small_to_divide_by(self, c_up):
+        # norm(A) / c_up = 2 / c_up overflows; at 1e-320 the solve wrote NaN
+        # and density ended in a ValueError (6e-309 solved, but is rejected)
+        with pytest.raises(DimensionMismatch, match="too small"):
+            validate_model([[-1.0, 1.0], [1.0, -1.0]], [c_up, -1.0])
+
+    def test_smallest_rates_that_divide(self, case_1a):
+        model = validate_model([[-1.0, 1.0], [1.0, -1.0]], [1.2e-308, -1.0])
+        assert model.n_plus == 1
+        # case 1a's generator (inf-norm 6) with up rates of 1e-308 ended in
+        # NoConvergence; 4e-308 divides it
+        model, _ = case_1a
+        inv = np.argsort(model.perm)
+        A, c = model.A[np.ix_(inv, inv)], model.c[inv]
+        with pytest.raises(DimensionMismatch, match="too small"):
+            validate_model(A, np.where(c > 0, 1e-308, c))
+        assert validate_model(A, np.where(c > 0, 4e-308, c)).n_plus == 5
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -122,13 +141,12 @@ class TestBlockLayout:
 
 class TestStationaryDist:
     def test_symmetric_two_phase(self, two_phase):
-        assert np.allclose(stationary_phase_dist(two_phase), [0.5, 0.5],
-                           atol=1e-14)
+        assert np.allclose(two_phase.xi, [0.5, 0.5], atol=1e-14)
 
     def test_birth_death_closed_form(self, case_1a):
         # detailed balance: weights are (lam/mu)^(i-1) = 2^(i-1)
         model, _ = case_1a
-        xi = model.unpermute(stationary_phase_dist(model))
+        xi = model.unpermute(model.xi)
         expected = 2.0 ** np.arange(15)
         expected /= expected.sum()
         assert np.abs(xi - expected).max() < 1e-12
@@ -137,7 +155,7 @@ class TestStationaryDist:
         rng = np.random.default_rng(13)
         for _ in range(10):
             model = random_recurrent_model(6, rng)
-            xi = stationary_phase_dist(model)
+            xi = model.xi
             assert np.abs(xi @ model.A).max() <= 1e-10
             assert xi.min() >= 0.0
             assert abs(xi.sum() - 1.0) < 1e-12
@@ -221,8 +239,8 @@ class TestPermutationInvariance:
         m0 = validate_model(A0, c0)
         m1 = validate_model(A1, c1)
         assert abs(mean_drift(m0) - mean_drift(m1)) < 1e-12
-        xi0 = m0.unpermute(stationary_phase_dist(m0))
-        xi1 = m1.unpermute(stationary_phase_dist(m1))
+        xi0 = m0.unpermute(m0.xi)
+        xi1 = m1.unpermute(m1.xi)
         assert np.abs(xi0[sigma] - xi1).max() < 1e-12
         # censored blocks agree after aligning phases through labels
         b0, b1 = censor_zero_phases(m0), censor_zero_phases(m1)
@@ -274,6 +292,16 @@ class TestPerturbationSpec:
         assert len(spec.oplus) == 2 and len(spec.ominus) == 1
         with pytest.raises(InvalidPerturbation):
             validate_perturbation(model, "rate", [0.0, 0.4, 0.0, -0.2, 0.0])
+
+    @pytest.mark.parametrize("size", [1e-320, -1e-320, 5e-324])
+    def test_rate_direction_too_small_to_divide_by(self, case_1a, size):
+        # expand divides by the direction on the zero-rate phases; it warned,
+        # then raised a bare ValueError
+        model, _ = case_1a
+        direction = np.zeros(model.n)
+        direction[model.perm[model.i0]] = size
+        with pytest.raises(InvalidPerturbation, match="too small"):
+            validate_perturbation(model, "rate", direction)
 
 
 class TestModelFile:

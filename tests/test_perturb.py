@@ -118,6 +118,35 @@ class TestRateUnaffected:
         psi1 = expand(model, sol, spec).psi1
         assert np.abs(psi1 - closed).max() <= 1e-13 * np.abs(closed).max()
 
+    def test_censoring_commutes_with_the_unaffected_expansion(self):
+        # no zero-rate phase moves: the expansion of the model is, bit for
+        # bit, that of its censored model along the restricted direction
+        rng = np.random.default_rng(81)
+        for _ in range(24):
+            n_plus, n_zero, n_minus = rng.integers(1, 5, 3).tolist()
+            model = rate_model_with_zeros(rng, n_plus, n_zero, n_minus)
+            ct = rng.uniform(-1.0, 1.0, model.n)
+            ct[model.perm[model.i0]] = 0.0
+            spec = validate_perturbation(model, "rate", ct)
+            assert spec.regime == "unaffected"
+            keep = np.concatenate([model.ip, model.im])
+            b = censor_zero_phases(model)
+            censored = validate_model(np.block([[b.Q_pp, b.Q_pm], [b.Q_mp, b.Q_mm]]),
+                                      model.c[keep])
+            cspec = validate_perturbation(censored, "rate", spec.direction[keep])
+            exp = expand(model, solve_psi(model), spec)
+            cexp = expand(censored, solve_psi(censored), cspec)
+            pairs = [(exp.psi_bar, cexp.psi_bar), (exp.psi1, cexp.psi1)]
+            assert exp.aux.keys() == cexp.aux.keys()
+            pairs += [(exp.aux[k], cexp.aux[k]) for k in exp.aux if k != "series"]
+            pairs += [(getattr(exp.aux["series"], f.name), getattr(cexp.aux["series"], f.name))
+                      for f in dataclasses.fields(exp.aux["series"])]
+            for a, c in pairs:
+                assert a.shape == c.shape and a.tobytes() == c.tobytes()
+            # the censored model lists the kept phases in canonical order
+            assert np.array_equal(exp.row_phases, model.perm[keep][cexp.row_phases])
+            assert np.array_equal(exp.col_phases, model.perm[keep][cexp.col_phases])
+
 
 class TestToPlus:
     def make(self, seed=34):
@@ -391,23 +420,3 @@ class TestStationaryField:
                         assert np.array_equal(getattr(pmodel, name), getattr(ref, name))
                     for name in ("labels", "n_plus", "n_zero", "n_minus"):
                         assert getattr(pmodel, name) == getattr(ref, name)
-
-    def test_censored_model_of_the_unaffected_regime(self, monkeypatch):
-        # expand censors the zero-rate phases out; the model it builds for
-        # the elimination carries the censored chain's stationary law
-        rng = np.random.default_rng(81)
-        model = rate_model_with_zeros(rng)
-        spec = validate_perturbation(model, "rate", [0.4, -0.3, 0, 0, 0, 0.2, -0.5, 0.1])
-        assert spec.regime == "unaffected"
-        built = []
-
-        def recording(obj, **changes):
-            out = dataclasses.replace(obj, **changes)
-            built.append(out)
-            return out
-
-        monkeypatch.setattr("mmfq.perturb.replace", recording)
-        expand(model, solve_psi(model), spec)
-        censored = [m for m in built if hasattr(m, "xi")]
-        assert len(censored) == 1 and censored[0].n == model.n_plus + model.n_minus
-        self.assert_own_xi(censored[0])

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
 
-from mmfq import (expand, solve_psi, solve_psi_at, stationary_phase_dist, validate_model,
-                  validate_perturbation)
+from mmfq import expand, solve_psi, solve_psi_at, validate_model, validate_perturbation
 from mmfq.bench import CASE_IDS, case_model, error_norms
 from mmfq.core import censor_zero_phases
 from mmfq.errors import EmptySide, InvalidEpsilon, NoConvergence
@@ -57,7 +56,7 @@ class TestNearZeroDrift:
         A = random_generator(30, rng)
         signs = np.repeat([1, 0, -1], [13, 4, 13])  # already canonical order
         c = signs * rng.uniform(0.5, 2.0, 30)
-        xi = stationary_phase_dist(validate_model(A, c))
+        xi = validate_model(A, c).xi
         up, down = xi[signs > 0] @ c[signs > 0], -xi[signs < 0] @ c[signs < 0]
         c = np.where(signs < 0, c * (up - drift) / down, c)
         sol = solve_psi(validate_model(A, c))
@@ -342,6 +341,24 @@ class TestSolvePsiAt:
         for call in (perturbed_model, solve_psi_at):
             with pytest.raises(InvalidEpsilon, match=re.escape(f"eps={eps}")):
                 call(two_phase, spec, eps)
+
+    @pytest.mark.parametrize("eps", [1e-320, 5e-324])
+    def test_eps_too_small_for_the_moving_rates(self, case_1a, eps):
+        # at 1e-320 the solve warned, then raised NoConvergence; at 5e-324
+        # the migrated rates rounded to 0, the unperturbed partition was
+        # solved and error_norms reported ShapeMismatch
+        model, spec = case_1a
+        for call in (perturbed_model, solve_psi_at):
+            with pytest.raises(InvalidEpsilon, match="too small"):
+                call(model, spec, eps)
+
+    def test_generator_eps_outgrowing_a_small_rate(self):
+        # A + eps At grows until norm(A) / c_up overflows
+        model = validate_model([[-1.0, 1.0], [1.0, -1.0]], [1e-300, -2.0])
+        spec = validate_perturbation(model, "generator", [[-1.0, 1.0], [1.0, -1.0]])
+        assert perturbed_model(model, spec, 1.0).n_plus == 1
+        with pytest.raises(InvalidEpsilon, match="too small"):
+            perturbed_model(model, spec, 1e10)
 
     @pytest.mark.parametrize("case_id", CASE_IDS)
     def test_sweep_cells_match_a_validated_model(self, case_id):

@@ -23,6 +23,24 @@ class TestConfig:
             with pytest.raises(ValueError, match=r"burn_in must lie in \[0, max_time\)"):
                 SimConfig(replications=10, seed=1, max_time=10.0, burn_in=burn_in)
 
+    @pytest.mark.parametrize("name,value", [
+        ("replications", 2.5), ("replications", "10"), ("seed", 1.5), ("seed", None)])
+    def test_integers_only(self, name, value):
+        # replications=2.5 failed mid-run with a TypeError; seed=1.5 drew
+        # seed 1's streams
+        with pytest.raises(ValueError, match="replications and seed must be integers"):
+            SimConfig(**{"replications": 10, "seed": 1, name: value})
+
+    def test_numpy_integers_keep_the_streams(self, three_phase):
+        # the streams are keyed by seed mod 2**64; numpy integer seeds raised
+        # OverflowError
+        ref = SimConfig(replications=300, seed=2**63, max_time=50.0)
+        psi, dens = estimate_psi(three_phase, ref), estimate_density(three_phase, ref)
+        for seed in (np.uint64(2**63), np.int64(-2**63)):
+            cfg = SimConfig(replications=np.int32(300), seed=seed, max_time=50.0)
+            assert np.array_equal(estimate_psi(three_phase, cfg).estimate, psi.estimate)
+            assert np.array_equal(estimate_density(three_phase, cfg).pdf, dens.pdf)
+
     @pytest.mark.parametrize("max_time", [np.inf, np.nan])
     def test_max_time_must_be_finite(self, max_time):
         # a path that drifts up would never end
