@@ -61,8 +61,6 @@ def solve_linear(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got {M.shape}")
-    if B.shape[0] != M.shape[0]:
-        raise ValueError(f"incompatible shapes {M.shape} and {B.shape}")
     if M.size == 0:
         return np.zeros_like(B)
     scale = _inf_norm(M)
@@ -116,12 +114,7 @@ def sylvester_solver(K: np.ndarray, U: np.ndarray):
 
 def solve_sylvester(K: np.ndarray, U: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Solve K X + X U = H with one :func:`sylvester_solver` call."""
-    K = as_matrix(K, "K")
-    U = as_matrix(U, "U")
-    H = as_matrix(H, "H")
-    p, q = H.shape
-    if K.shape != (p, p) or U.shape != (q, q):
-        raise ValueError(f"incompatible shapes K{K.shape}, U{U.shape}, H{H.shape}")
+    K, U, H = as_matrix(K, "K"), as_matrix(U, "U"), as_matrix(H, "H")
     return sylvester_solver(K, U)(H)
 
 
@@ -157,8 +150,6 @@ class ExpEvaluator:
         if not 0 <= x < np.inf:
             raise ValueError(f"x must be finite and nonnegative, got {x}")
         x_eta, n, s = x * self.eta, math.isqrt(self.powers.shape[1]), 0
-        if n == 0:
-            return np.eye(0)
         if x_eta == np.inf:
             raise Inconclusive(f"scaling norm of exp(M x) overflows at x = {x}")
         if x_eta > 0:
@@ -244,8 +235,6 @@ def null_row_vector(M: np.ndarray) -> np.ndarray:
     """
     M = as_matrix(M, "M")
     n = M.shape[0]
-    if n == 0:
-        raise SingularSystem("empty system")
     bordered = M.copy()
     bordered[:, -1] = 1.0
     rhs = np.zeros(n)

@@ -112,10 +112,11 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
 
     # 1. inner Riccati: Ct_op^{-1} (A_op,om + A_op,op X)
     #    + X |Ct_om^{-1}| A_om,om + X |Ct_om^{-1}| A_om,op X = 0
+    a_op_op = block(io_p, io_p) / ct_op
     try:
-        psi_op_om, _, _ = newton_riccati(
-            block(io_p, io_m), block(io_p, io_p), block(io_m, io_m) / ct_om_row,
-            block(io_m, io_p) / ct_om_row, spec.direction[io_p])
+        psi_op_om = newton_riccati(
+            block(io_p, io_m), block(io_p, io_p), a_op_op, block(io_m, io_m) / ct_om_row,
+            block(io_m, io_p) / ct_om_row, spec.direction[io_p])[0]
     except NoConvergence as exc:
         raise InnerRiccatiDiverged(str(exc)) from exc
 
@@ -123,7 +124,7 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
     # partition the op rows of K(eps) carry 1/(eps Ct_op); they do not
     # involve psi_op_m
     psi_op_om_cm = psi_op_om / ct_om_col
-    k_m1_op_op = block(io_p, io_p) / ct_op + psi_op_om_cm @ block(io_m, io_p)
+    k_m1_op_op = a_op_op + psi_op_om_cm @ block(io_m, io_p)
     k_m1_op_p = block(io_p, ip) / ct_op + psi_op_om_cm @ block(io_m, ip)
     neg_k_inv = solve_linear(-k_m1_op_op, np.eye(len(io_p)))
 
@@ -217,18 +218,24 @@ def expand(model: FluidModel, psi_sol: PsiSolution,
 
         K X + X U = -C+^{-1} Qt_{+-} - C+^{-1} Qt_{++} psi
                     - psi |C-^{-1}| Qt_{--} - psi |C-^{-1}| Qt_{-+} psi.
+
+    Arithmetic that leaves the double range is ``InvalidPerturbation``.
     """
-    if spec.kind == "rate":
-        return _eliminate(model, psi_sol, spec)
-    Qt_pp, Qt_pm, Qt_mp, Qt_mm = _qtilde(model, psi_sol.blocks, spec.direction)
-    psi = psi_sol.psi
-    cp = model.c_plus[:, None]
-    psi_cm = psi / model.c_minus_abs[None, :]
-    rhs = -(Qt_pm / cp) - (Qt_pp / cp) @ psi - psi_cm @ Qt_mm - psi_cm @ Qt_mp @ psi
-    return PsiExpansion(
-        regime=spec.regime, psi_bar=psi.copy(),
-        psi1=solve_sylvester(psi_sol.K, psi_sol.U, rhs),
-        row_phases=model.perm[model.ip], col_phases=model.perm[model.im])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if spec.kind == "rate":
+                return _eliminate(model, psi_sol, spec)
+            Qt_pp, Qt_pm, Qt_mp, Qt_mm = _qtilde(model, psi_sol.blocks, spec.direction)
+            psi = psi_sol.psi
+            cp = model.c_plus[:, None]
+            psi_cm = psi / model.c_minus_abs[None, :]
+            rhs = -(Qt_pm / cp) - (Qt_pp / cp) @ psi - psi_cm @ Qt_mm - psi_cm @ Qt_mp @ psi
+            return PsiExpansion(
+                regime=spec.regime, psi_bar=psi.copy(),
+                psi1=solve_sylvester(psi_sol.K, psi_sol.U, rhs),
+                row_phases=model.perm[model.ip], col_phases=model.perm[model.im])
+    except FloatingPointError as exc:
+        raise InvalidPerturbation(f"the expansion leaves the double range: {exc}") from exc
 
 
 def load_perturbation(path, model: FluidModel) -> PerturbationSpec:

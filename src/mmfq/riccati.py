@@ -68,29 +68,30 @@ def _residual(Qd, Qa, Mu, Mb, c, Y):
     return Qd + Qa.dot(Y) + c * Y.dot(U), U
 
 
-def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
+def newton_riccati(Qd, Qa, Ma, Mu, Mb, c, tol: float = DEFAULT_TOL,
                    max_newton: int = DEFAULT_MAX_NEWTON):
     """Minimal nonnegative root of C^{-1}(Qd + Qa X) + X Mu + X Mb X = 0.
 
-    Newton from X0 = 0 with C = diag(c), c > 0: at iterate X solve
-    (C^{-1} Qa + X Mb) D + D (Mu + Mb X) = -F(X) and take the full step.
-    Returns (X, iterations, history of ||F||_inf).  Exact iterates rise from
-    0 to the root; round-off can push one out of [0, 1], so judge the root.
-    Stops when ||F||_inf meets ``tol``, when ||C F||_inf stops decreasing
-    at the double-precision floor, or after ``max_newton`` steps; raises
-    ``NoConvergence`` unless ||F||_inf meets ``tol`` or ||C F||_inf is at
-    that floor, so with tiny rates an accepted ||F||_inf can exceed ``tol``.
-    An empty side (p or q zero) returns the empty root without a step.
-    Raises ``ValueError`` unless 0 <= ``tol`` < inf.
+    Newton from X0 = 0 with C = diag(c), c > 0, Ma = C^{-1} Qa: at iterate
+    X solve (Ma + X Mb) D + D (Mu + Mb X) = -F(X) and take the full step.
+    Returns (X, iterations, history of ||F||_inf, H, U), H = C F(X) and
+    U = Mu + Mb X from the :func:`_residual` of the returned X.  Exact
+    iterates rise from 0 to the root; round-off can push one out of [0, 1],
+    so judge the root.  Stops when ||F||_inf meets ``tol``, when ||C F||_inf
+    stops decreasing at the double-precision floor, or after ``max_newton``
+    steps; raises ``NoConvergence`` unless ||F||_inf meets ``tol`` or
+    ||C F||_inf is at that floor, so with tiny rates an accepted ||F||_inf
+    can exceed ``tol``.  An empty side (p or q zero) returns the empty root,
+    H = X and U = Mu without a step.  Raises ``ValueError`` unless
+    0 <= ``tol`` < inf.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     p, q = Qd.shape
     X = np.zeros((p, q))
     if p == 0 or q == 0:
-        return X, 0, (0.0,)
+        return X, 0, (0.0,), X, Mu
     c = np.asarray(c, dtype=float)[:, None]
-    Ma = Qa / c
     scale = max(float(np.abs(m).max()) for m in (Qd, Qa, Mu, Mb))
     # scaled residuals below this are double-precision evaluation noise
     floor = FLOOR_FACTOR * np.finfo(float).eps * max(scale, 1.0) * max(p, q)
@@ -107,19 +108,20 @@ def newton_riccati(Qd, Qa, Mu, Mb, c, tol: float = DEFAULT_TOL,
         # above the floor a full step may raise ||C F|| while X still rises
         if new_hres >= hres and hres <= floor:
             break  # stagnated at the arithmetic floor
-        X, U, hres, F = new_X, new_U, new_hres, new_H / c
+        X, H, U, hres, F = new_X, new_H, new_U, new_hres, new_H / c
         res = _inf_norm(F)
         history.append(res)
         iterations += 1
     if res > tol and hres > floor:
         raise NoConvergence(
             f"residual {res:.3e} after {iterations} Newton steps (tol {tol:.0e})")
-    return X, iterations, tuple(history)
+    return X, iterations, tuple(history), H, U
 
 
-def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb, c_plus):
-    """One Newton step from X on a shifted equation: the new X, its residual
-    and U = Mu + Mb X, ``c_plus`` the up rates.  Tracers wrap it by this name.
+def _defect_correct(model: FluidModel, blocks, X, H, U, Ma, Mu, Mb, c_plus):
+    """One Newton step on a shifted equation from X and the H = C+ F(X) and
+    U = Mu + Mb X that Newton hands over: the new X, its residual and U,
+    ``c_plus`` the up rates.  Tracers wrap it by this name.
 
     Near zero drift spec(K) nearly touches spec(-U), and X is far less
     accurate than its residual says.  A rank-one shift keeps psi a root and
@@ -127,18 +129,16 @@ def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb, c_plus):
     & Meini 2007).  With z = xi * |c|, xi stationary: for negative drift
     psi 1 = 1, and Md + eta/q 1 1^T, Mu - eta/q 1 1^T shift U; else
     z+^T psi = z-^T, and Ma - eta s 1 z+^T, Md + eta s 1 z-^T (s = 1/z+^T 1)
-    shift K.  The shifted residual is C+ F(X) from the censored blocks plus
-    eta times the defect of that identity: rounding C+ C+^{-1} Q or forming
-    eta-sized blocks would cost digits where a rate is tiny.
+    shift K.  The shifted residual is H plus eta times the defect of that
+    identity: rounding C+ C+^{-1} Q or forming eta-sized blocks would cost
+    digits where a rate is tiny.
     """
     cp = c_plus[:, None]
     xi = model.xi
     z_p, z_m = xi[model.ip] * c_plus, xi[model.im] * model.c_minus_abs
-
-    eq = (blocks.Q_pm, blocks.Q_pp, Mu, Mb, cp)
-    H, U = _residual(*eq, X)
     if z_p.sum() < z_m.sum():
         shift = np.abs(np.diag(Mu)).max() / X.shape[1]
+        # formed again, not U - shift: that would move the last bit of psi
         U = Mu - shift + Mb.dot(X)
         H = H + cp * (shift * (1.0 - X.sum(axis=1)))[:, None]
     else:
@@ -146,7 +146,7 @@ def _defect_correct(model: FluidModel, blocks, X, Ma, Mu, Mb, c_plus):
         Ma = Ma - shift * z_p
         H = H - cp * (shift * (z_p @ X - z_m))
     X = X + sylvester_solver(Ma + X.dot(Mb), U)(-H / cp)
-    H, U = _residual(*eq, X)
+    H, U = _residual(blocks.Q_pm, blocks.Q_pp, Mu, Mb, cp, X)
     return X, float(_inf_norm(H / cp)), U
 
 
@@ -166,13 +166,11 @@ def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
     blocks = censor_zero_phases(model)
     c_plus, cm = model.c_plus, model.c_minus_abs[:, None]
     Ma, Mu, Mb = blocks.Q_pp / c_plus[:, None], blocks.Q_mm / cm, blocks.Q_mp / cm
-    X, iterations, history = newton_riccati(
-        blocks.Q_pm, blocks.Q_pp, Mu, Mb, c_plus, tol, max_newton)
+    X, iterations, history, H, U = newton_riccati(
+        blocks.Q_pm, blocks.Q_pp, Ma, Mu, Mb, c_plus, tol, max_newton)
     if tol <= REFINE_THRESHOLD:
-        X, res, U = _defect_correct(model, blocks, X, Ma, Mu, Mb, c_plus)
+        X, res, U = _defect_correct(model, blocks, X, H, U, Ma, Mu, Mb, c_plus)
         history = history[:-1] + (res,)
-    else:
-        U = Mu + Mb.dot(X)
     K = Ma + X.dot(Mb)
     return PsiSolution(psi=X, U=U, K=K, iterations=iterations,
                        residual=history[-1], residual_history=history,

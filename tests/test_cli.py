@@ -515,6 +515,16 @@ MALFORMED_INPUTS = [
     malformed("rounded-rate-eps", ["perturb", "{m}", "{p}", "--eps-check", "5e-324"], 1,
               "InvalidEpsilon", model=QUICK_START,
               pert='{"kind": "rate", "direction": [0.0, 0.8, 0.0]}'),
+    # these warned of an overflow, then ended in a ValueError traceback
+    malformed("overflow-expansion-unaffected", ["perturb", "{m}", "{p}"], 1,
+              "InvalidPerturbation",
+              model='{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [0.5, -2.0]}',
+              pert='{"kind": "rate", "direction": [1e308, 0.0]}'),
+    malformed("overflow-expansion-to-minus", ["perturb", "{m}", "{p}"], 1,
+              "InvalidPerturbation",
+              model='{"A": [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]], '
+                    '"c": [1.0, 0.0, -2.0]}',
+              pert='{"kind": "rate", "direction": [0.0, -1e308, 0.0]}'),
     # a model that validates but whose zero-rate block is singular in double precision
     malformed("singular-zero-block", ["psi", "{m}"], 1, "SingularBlock", model=SINGULAR_ZERO_BLOCK),
 ]

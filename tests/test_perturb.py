@@ -9,7 +9,8 @@ from mmfq import (censor_zero_phases, expand, solve_psi, solve_psi_at,
 from mmfq.numerics import stable_spectrum, sylvester_residual
 from mmfq.perturb import qtilde_blocks
 from mmfq.bench import error_norms
-from mmfq.errors import InnerRiccatiDiverged, NoConvergence, ShapeMismatch
+from mmfq.errors import (InnerRiccatiDiverged, InvalidPerturbation, NoConvergence,
+                         ShapeMismatch)
 
 from conftest import (bd_identity_gap, random_generator_direction,
                       random_recurrent_model, stationary_of)
@@ -299,6 +300,36 @@ class TestDispatch:
         _, sol_eps, pmodel = runs["general"]
         with pytest.raises(ShapeMismatch):
             error_norms(model, sol_eps, pmodel, runs["to_plus"][0], 1e-4)
+
+
+TWO_PHASE_A = [[-1.0, 1.0], [1.0, -1.0]]
+THREE_PHASE_A = [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]
+FOUR_PHASE_A = np.ones((4, 4)) - 4.0 * np.eye(4)
+
+
+class TestOutOfDoubleRange:
+    """A rate direction that validates can still take the expansion's
+    arithmetic out of the double range; that is a perturbation error, not
+    a numpy warning followed by a ValueError."""
+
+    @pytest.mark.parametrize("A,c,direction,regime", [
+        (TWO_PHASE_A, [0.5, -2.0], [1e308, 0.0], "unaffected"),  # ct_p / c_plus
+        (THREE_PHASE_A, [1.0, 0.0, -2.0], [0.0, -1e308, 0.0], "to_minus"),
+        (FOUR_PHASE_A, [1.0, 0.0, 0.0, -2.0], [0.0, 1e308, -1e308, 0.0], "general"),
+        (FOUR_PHASE_A, [1.0, 0.0, 0.0, -2.0], [0.0, 1e-300, -1e300, 0.0], "general"),
+    ])
+    def test_overflow_is_invalid_perturbation(self, A, c, direction, regime):
+        model = validate_model(A, c)
+        spec = validate_perturbation(model, "rate", direction)
+        assert spec.regime == regime
+        with pytest.raises(InvalidPerturbation, match="double range"):
+            expand(model, solve_psi(model), spec)
+
+    def test_huge_migrating_up_rate_still_expands(self):
+        model = validate_model(THREE_PHASE_A, [1.0, 0.0, -2.0])
+        spec = validate_perturbation(model, "rate", [0.0, 1e308, 0.0])
+        out = expand(model, solve_psi(model), spec)
+        assert out.regime == "to_plus" and np.isfinite(out.psi1).all()
 
 
 class TestBDIdentities:

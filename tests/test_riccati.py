@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
 
-from mmfq import expand, solve_psi, solve_psi_at, validate_model, validate_perturbation
+from mmfq import (expand, riccati, solve_psi, solve_psi_at, validate_model,
+                  validate_perturbation)
 from mmfq.bench import CASE_IDS, case_model, error_norms
 from mmfq.core import censor_zero_phases
 from mmfq.errors import EmptySide, InvalidEpsilon, NoConvergence
 from mmfq.numerics import stable_spectrum
-from mmfq.riccati import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, FLOOR_FACTOR,
+from mmfq.riccati import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, FLOOR_FACTOR, _residual,
                           newton_riccati, perturbed_model)
 
 from conftest import oracle_psi, random_generator, random_recurrent_model, record_calls
@@ -203,8 +204,8 @@ def _newton_inputs(model):
     """The arguments solve_psi hands to newton_riccati."""
     blocks = censor_zero_phases(model)
     cm = model.c_minus_abs[:, None]
-    return (blocks.Q_pm, blocks.Q_pp, blocks.Q_mm / cm, blocks.Q_mp / cm,
-            model.c_plus)
+    return (blocks.Q_pm, blocks.Q_pp, blocks.Q_pp / model.c_plus[:, None],
+            blocks.Q_mm / cm, blocks.Q_mp / cm, model.c_plus)
 
 
 def _general_inner_inputs():
@@ -220,15 +221,20 @@ def _general_inner_inputs():
     io_p, io_m = spec.oplus, spec.ominus
     ct_om = np.abs(spec.direction[io_m])[:, None]
     return (model.block(io_p, io_m), model.block(io_p, io_p),
+            model.block(io_p, io_p) / spec.direction[io_p][:, None],
             model.block(io_m, io_m) / ct_om, model.block(io_m, io_p) / ct_om,
             spec.direction[io_p])
 
 
 def _assert_same_newton(args):
-    X, iterations, history = newton_riccati(*args)
-    X_ref, iterations_ref, history_ref = _reference_newton(*args)
+    X, iterations, history, H, U = newton_riccati(*args)
+    Qd, Qa, _, Mu, Mb, c = args
+    X_ref, iterations_ref, history_ref = _reference_newton(Qd, Qa, Mu, Mb, c)
     assert X.tobytes() == X_ref.tobytes()
     assert iterations == iterations_ref and history == history_ref
+    # what Newton hands over is the residual and U at the X it returns
+    H_ref, U_ref = _residual(Qd, Qa, Mu, Mb, c[:, None], X)
+    assert H.tobytes() == H_ref.tobytes() and U.tobytes() == U_ref.tobytes()
 
 
 class TestNewtonMatchesReference:
@@ -253,35 +259,69 @@ class TestNewtonMatchesReference:
         _assert_same_newton(args)
 
 
+@pytest.mark.parametrize("case_id,eps", [(cid, None) for cid in CASE_IDS] + [("1a", 1e-4)])
+def test_shifted_step_starts_from_newton(monkeypatch, case_id, eps):
+    # a tight solve forms one residual beyond Newton's: the shifted step
+    # starts from the residual and U at the X that Newton accepted
+    model, spec = case_model(case_id)
+    if eps is not None:
+        model = perturbed_model(model, spec, eps)
+    calls = {"all": 0, "newton": 0}
+
+    def residual(*args):
+        calls["all"] += 1
+        return _residual(*args)
+
+    def newton(*args):
+        before = calls["all"]
+        result = newton_riccati(*args)
+        calls["newton"] += calls["all"] - before
+        return result
+
+    monkeypatch.setattr(riccati, "_residual", residual)
+    monkeypatch.setattr(riccati, "newton_riccati", newton)
+    sol = solve_psi(model)
+    assert calls["all"] - calls["newton"] == 1
+    if eps is not None:
+        # the cell's loop ends at the round-off floor with one rejected step
+        assert calls["newton"] == sol.iterations + 2
+
+
 class TestNewtonRiccati:
     @pytest.mark.parametrize("a,root", [(3e-7, 0.3), (1e-7, 0.1)])
     def test_scalar_root_with_tiny_rate(self, a, root):
         # up rate c = 1e-6, down rate -1, A = [[-a, a], [1, -1]]:
         # (a - a x)/c - x + x^2 = 0 has roots 1 and a/c
         c = 1e-6
-        X, iterations, history = newton_riccati(
-            np.array([[a]]), np.array([[-a]]), np.array([[-1.0]]),
-            np.array([[1.0]]), [c])
+        X, iterations, history, _, _ = newton_riccati(
+            np.array([[a]]), np.array([[-a]]), np.array([[-a / c]]),
+            np.array([[-1.0]]), np.array([[1.0]]), [c])
         assert abs(X[0, 0] - root) <= 1e-15
         assert history[-1] <= 1e-12 and iterations == len(history) - 1
 
     def test_empty_side(self):
         # the migration elimination relies on the (p, 0) root without a step
-        X, iterations, history = newton_riccati(
-            np.zeros((3, 0)), -np.eye(3), np.zeros((0, 0)), np.zeros((0, 3)),
-            np.ones(3))
+        X, iterations, history, H, U = newton_riccati(
+            np.zeros((3, 0)), -np.eye(3), -np.eye(3), np.zeros((0, 0)),
+            np.zeros((0, 3)), np.ones(3))
         assert X.shape == (3, 0) and iterations == 0
         assert history == (0.0,)
+        assert H.shape == (3, 0) and U.shape == (0, 0)
+        Mu = -np.eye(2)
+        X, iterations, history, H, U = newton_riccati(
+            np.zeros((0, 2)), np.zeros((0, 0)), np.zeros((0, 0)), Mu,
+            np.zeros((2, 0)), np.ones(0))
+        assert X.shape == H.shape == (0, 2) and np.array_equal(U, Mu)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_bad_tol_is_rejected(self, tol):
         with pytest.raises(ValueError, match="tol"):
-            newton_riccati(np.array([[3e-7]]), np.array([[-3e-7]]),
+            newton_riccati(np.array([[3e-7]]), np.array([[-3e-7]]), np.array([[-0.3]]),
                            np.array([[-1.0]]), np.array([[1.0]]), [1e-6], tol=tol)
 
     def test_no_convergence_without_steps(self):
         with pytest.raises(NoConvergence):
-            newton_riccati(np.array([[3e-7]]), np.array([[-3e-7]]),
+            newton_riccati(np.array([[3e-7]]), np.array([[-3e-7]]), np.array([[-0.3]]),
                            np.array([[-1.0]]), np.array([[1.0]]), [1e-6],
                            max_newton=0)
 
