@@ -227,6 +227,8 @@ def censor_zero_phases(model: FluidModel) -> CensoredBlocks:
         N_rows = solve_linear(-model.block(i0, i0), rhs)
     except Singular as exc:
         raise SingularBlock("zero-rate block is singular") from exc
+    if not np.isfinite(N_rows).all():  # a subnormal pivot passes the relative test
+        raise SingularBlock("zero-rate block's solve leaves the double range")
     N_p, N_m, inv0 = N_rows[:, :p], N_rows[:, p:pm], N_rows[:, pm:]
     A_p0, A_m0 = model.block(ip, i0), model.block(im, i0)
     return CensoredBlocks(

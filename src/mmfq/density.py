@@ -2,19 +2,20 @@
 
 For a positive recurrent model the stationary density above level zero is
 pi(x) = q exp(K x) W, with W = [ C+^{-1} | psi |C-|^{-1} | Theta ], and the
-mass at level zero sits on the down and zero phases only.  Differentiating
-every factor along a generator direction gives pi1(x) = [q, q1] exp(G x) W1
-with G = [[K, K1], [0, K]] (Van Loan, 1978) and W1 = [[0 | psi1 |C-|^{-1} |
-Theta1]; W]; Theta and Theta1 are products with the censoring's (-A_00)^{-1},
-and the boundary-mass derivative differentiates the bordered system that
-gives the boundary masses.  ``StationaryLaw`` holds W and
-``FirstOrderLaw`` G, [q, q1] and W1, with columns in the caller's phase order,
-and each holds an evaluator of exp(K x) or exp(G x) with the powers and norms
-of its exponent: all are built once per law, so a level costs one Taylor step.
+mass at level zero sits on the down and zero phases only.  Along a generator
+direction pi1(x) = [q, q1] exp(G x) W1, with G = [[K, K1], [0, K]] (Van Loan,
+1978) and W1 = [[0 | psi1 |C-|^{-1} | Theta1]; W].  One code, _law_factors,
+gives the law from real inputs and, run once on a complex step x + i h x' of
+them, each derivative as an imaginary part over h (Squire & Trapp, 1998).
+``StationaryLaw`` holds W and ``FirstOrderLaw`` G, [q, q1] and W1, with
+columns in the caller's phase order, and each holds an evaluator of exp(K x)
+or exp(G x) with the powers and norms of its exponent: all are built once
+per law, so a level costs one Taylor step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .core import FluidModel, censor_zero_phases  # noqa: F401
 from .errors import (Inconclusive, NotGeneratorKind, NotRecurrent, SingularNormalization,
                      SingularSystem)
-from .numerics import (ExpEvaluator, conv_integral, exp_evaluator,  # noqa: F401
+from .numerics import (ExpEvaluator, _inf_norm, conv_integral, exp_evaluator,  # noqa: F401
                        matrix_exp, null_row_vector, solve_linear)
 from .riccati import PsiSolution
 from . import core
@@ -62,17 +63,17 @@ class FirstOrderLaw:
     exp_G: ExpEvaluator
 
 
-def _theta(model: FluidModel, psi: np.ndarray, inv0: np.ndarray) -> np.ndarray:
+def _theta(model: FluidModel, block, psi: np.ndarray, inv0: np.ndarray) -> np.ndarray:
     """Zero-phase column factor (C+^{-1} A_{+0} + psi |C-^{-1}| A_{-0}) (-A_00)^{-1},
-    with ``inv0`` = (-A_00)^{-1}."""
+    with ``block`` a block reader of A and ``inv0`` = (-A_00)^{-1}."""
     ip, i0, im = model.ip, model.i0, model.im
-    return (model.block(ip, i0) / model.c_plus[:, None]
-            + (psi / model.c_minus_abs[None, :]) @ model.block(im, i0)) @ inv0
+    return (block(ip, i0) / model.c_plus[:, None]
+            + (psi / model.c_minus_abs[None, :]) @ block(im, i0)) @ inv0
 
 
 def _boundary_generator(model: FluidModel, block, psi: np.ndarray) -> np.ndarray:
     """Generator S of the phase process observed at level zero (down+zero phases),
-    with ``block`` = ``model.block``; a direction's block reader gives the At terms of S1."""
+    with ``block`` a block reader of A: ``model.block`` or the complex step's."""
     ip, i0, im = model.ip, model.i0, model.im
     top = np.hstack([block(im, im) + block(im, ip) @ psi, block(im, i0)])
     bottom = np.hstack([block(i0, im) + block(i0, ip) @ psi, block(i0, i0)])
@@ -83,7 +84,7 @@ def _row_factor(model: FluidModel, diag: np.ndarray, theta: np.ndarray,
                 psi: np.ndarray) -> np.ndarray:
     """[diag | Theta | psi |C-|^{-1}] on (up, zero, down) columns, in caller order."""
     canonical = np.hstack([diag, theta, psi / model.c_minus_abs[None, :]])
-    return model.unpermute(canonical.T).T
+    return canonical.take(np.argsort(model.perm), 1)
 
 
 def _propagate(v: np.ndarray, exp_G: ExpEvaluator, W: np.ndarray, x: float) -> np.ndarray:
@@ -96,38 +97,37 @@ def _propagate(v: np.ndarray, exp_G: ExpEvaluator, W: np.ndarray, x: float) -> n
     raise Inconclusive(f"matrix exponential not finite in double precision at x = {x}")
 
 
-def _law_factors(model: FluidModel, psi_sol: PsiSolution):
+def _law_factors(model: FluidModel, block, psi: np.ndarray, K: np.ndarray,
+                 inv0: np.ndarray):
     """Theta, q, p_minus, p_zero and W of a positive recurrent model's law: all
-    of its ``StationaryLaw`` but K and the evaluator of exp(K x); then the
-    boundary generator S and y = (-K)^{-1} W 1, which the first-order law reuses."""
+    of its ``StationaryLaw`` but K and the evaluator of exp(K x), from the
+    block reader ``block`` of A, psi, K and ``inv0`` = (-A_00)^{-1}.  Each
+    input may be real or complex; every check reads real parts."""
     if core.mean_drift(model) >= 0:
         raise NotRecurrent("mean drift is nonnegative")
-    psi, K = psi_sol.psi, psi_sol.K
-    theta = _theta(model, psi, psi_sol.blocks.inv0)
-    S = _boundary_generator(model, model.block, psi)
+    theta = _theta(model, block, psi, inv0)
     try:
-        v = null_row_vector(S)
+        v = null_row_vector(_boundary_generator(model, block, psi))
     except SingularSystem as exc:
         raise SingularNormalization(str(exc)) from exc
-    if v.min() < -1e-9:
-        raise SingularNormalization(f"negative boundary mass {v.min():.3e}")
-    v = np.clip(v, 0.0, None)
+    if v.real.min() < -1e-9:
+        raise SingularNormalization(f"negative boundary mass {v.real.min():.3e}")
+    v[v.real < 0.0] = 0.0
     v /= v.sum()
     v_minus, v_zero = v[:model.n_minus], v[model.n_minus:]
-    q_v = v_minus @ model.block(model.im, model.ip) \
-        + v_zero @ model.block(model.i0, model.ip)
+    q_v = v_minus @ block(model.im, model.ip) + v_zero @ block(model.i0, model.ip)
     W = _row_factor(model, np.diag(1.0 / model.c_plus), theta, psi)
-    y = solve_linear(-K, W.sum(axis=1))
-    denom = 1.0 + q_v @ y
-    if denom <= 0:
-        raise SingularNormalization(f"normalization denominator {denom:.3e}")
+    denom = 1.0 + q_v @ solve_linear(-K, W.sum(axis=1))
+    if denom.real <= 0:
+        raise SingularNormalization(f"normalization denominator {denom.real:.3e}")
     s = 1.0 / denom
-    return theta, s * q_v, s * v_minus, s * v_zero, W, S, y
+    return theta, s * q_v, s * v_minus, s * v_zero, W
 
 
 def stationary_law(model: FluidModel, psi_sol: PsiSolution) -> StationaryLaw:
     """Boundary masses and density factors of a positive recurrent model."""
-    theta, q, p_minus, p_zero, W, _, _ = _law_factors(model, psi_sol)
+    theta, q, p_minus, p_zero, W = _law_factors(
+        model, model.block, psi_sol.psi, psi_sol.K, psi_sol.blocks.inv0)
     return StationaryLaw(K=psi_sol.K, Theta=theta, q=q, p_minus=p_minus, p_zero=p_zero,
                          W=W, exp_K=exp_evaluator(psi_sol.K))
 
@@ -154,49 +154,33 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
     """Derivatives of the stationary law along a generator direction.
 
     ``a_tilde`` is the direction in canonical phase order (zero row sums)
-    and ``psi1`` is ``expand(...).psi1`` along it.  K1 and Theta1 come from
-    the censoring that ``psi_sol`` holds.  The boundary masses are p = s v,
-    with v B = [0, ..., 0, 1] for B the boundary generator S with its last
-    column set to ones, and s = 1/(1 + q_v y).  Differentiating gives
-    v1 B = -v B1, with B1 = S1 (S's builder read along ``a_tilde`` plus the
-    psi1 term) with its last column zero, and the product rule on s.
+    and ``psi1`` is ``expand(...).psi1`` along it.  :func:`_law_factors`
+    runs once on a complex step x + i h x' of its inputs: A + i h At, psi +
+    i h psi1, K on the censored blocks Q + i h Qt and inv0 + i h inv0 At_00
+    inv0; each derivative is an imaginary part over h.  h = 2^(-30-e), e the
+    binary exponent of max(||At|| / ||A||, ||psi1||, 2^-1000) in inf-norms,
+    puts each imaginary part near 2^-30 of its value's scale: the O(h^2)
+    terms stay below round-off, and nothing underflows.
     """
-    theta, q, p_minus, p_zero, W, S, y = _law_factors(model, psi_sol)
-    psi, K, blocks = psi_sol.psi, psi_sol.K, psi_sol.blocks
-    ip, i0, im = model.ip, model.i0, model.im
-    cp = model.c_plus[:, None]
-    psi_cm = psi / model.c_minus_abs[None, :]
-    psi1_cm = psi1 / model.c_minus_abs[None, :]
+    blocks, i0 = psi_sol.blocks, model.i0
     At = np.asarray(a_tilde, dtype=float)
-
-    def at(rows, cols):  # a C-ordered block of At, as model.block is of A
-        return At.take(rows, 0).take(cols, 1)
-
+    scale = max(float(_inf_norm(At)) / float(_inf_norm(model.A)), float(_inf_norm(psi1)),
+                2.0 ** -1000)
+    h = math.ldexp(1.0, -30 - math.frexp(scale)[1])
+    A = model.A + 1j * h * At
+    psi = psi_sol.psi + 1j * h * psi1
     Qt_pp, _, Qt_mp, _ = core._qtilde(model, blocks, At)
-    K1 = Qt_pp / cp + psi1_cm @ blocks.Q_mp + psi_cm @ Qt_mp
-    Theta1 = (at(ip, i0) / cp + psi1_cm @ model.block(im, i0)
-              + psi_cm @ at(im, i0) + theta @ at(i0, i0)) @ blocks.inv0
-
-    # x = s v1 solves x B = -p B1; it sums to zero, as B1's last column is zero
-    B, B1 = S, _boundary_generator(model, at, psi)
-    B1[:, :model.n_minus] += model.block(np.concatenate([im, i0]), ip) @ psi1
-    B[:, -1], B1[:, -1] = 1.0, 0.0
-    p = np.concatenate([p_minus, p_zero])
-    p1_part = solve_linear(B.T, -(p @ B1))
-    q1_part = p1_part[:model.n_minus] @ model.block(im, ip) \
-        + p1_part[model.n_minus:] @ model.block(i0, ip) \
-        + p_minus @ at(im, ip) + p_zero @ at(i0, ip)
-
-    # product rule on s = 1/(1 + q_v y): s1 / s = -(s q_v1 y + q y1) = -mass1
-    W1_top = _row_factor(model, np.zeros_like(K), Theta1, psi1)
-    mass1 = q1_part @ y + q @ solve_linear(-K, K1 @ y + W1_top.sum(axis=1))
-    p1 = p1_part - mass1 * p
-    q1 = q1_part - mass1 * q
-    G = np.block([[K, K1], [np.zeros_like(K), K]])
-    return FirstOrderLaw(K1=K1, Theta1=Theta1, q1=q1,
-                         p1_minus=p1[:model.n_minus], p1_zero=p1[model.n_minus:],
-                         G=G, v=np.concatenate([q, q1]),
-                         W1=np.vstack([W1_top, W]), exp_G=exp_evaluator(G))
+    K = (blocks.Q_pp + 1j * h * Qt_pp) / model.c_plus[:, None] \
+        + (psi / model.c_minus_abs[None, :]) @ (blocks.Q_mp + 1j * h * Qt_mp)
+    inv0 = blocks.inv0 + 1j * h * (blocks.inv0 @ At.take(i0, 0).take(i0, 1) @ blocks.inv0)
+    theta, q, p_minus, p_zero, W = _law_factors(
+        model, lambda rows, cols: A.take(rows, 0).take(cols, 1), psi, K, inv0)
+    K1 = K.imag / h
+    G = np.block([[psi_sol.K, K1], [np.zeros_like(K1), psi_sol.K]])
+    return FirstOrderLaw(K1=K1, Theta1=theta.imag / h, q1=q.imag / h,
+                         p1_minus=p_minus.imag / h, p1_zero=p_zero.imag / h,
+                         G=G, v=np.concatenate([q.real, q.imag / h]),
+                         W1=np.vstack([W.imag / h, W.real]), exp_G=exp_evaluator(G))
 
 
 def density1_at(fol: FirstOrderLaw, law: StationaryLaw, model: FluidModel,

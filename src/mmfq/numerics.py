@@ -2,7 +2,8 @@
 
 Everything works on plain ``numpy.ndarray`` in double precision.  Inputs
 crossing the public API are validated with :func:`as_matrix`, which rejects
-non-finite entries.
+non-finite entries.  The LU solves also take the complex arrays of the
+stationary law's complex step (``density.first_order_law``).
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ PIVOT_RTOL = 1e-14
 SPECTRAL_MARGIN = 1e-8
 NULL_RTOL = 1e-10
 
-# the double-precision LAPACK kernels, bound once
+# the double-precision LAPACK kernels, bound once, and the complex LU pair
 _getrf, _getrs, _gees, _trsyl = get_lapack_funcs(
     ("getrf", "getrs", "gees", "trsyl"), (np.zeros((1, 1)),))
+_zgetrf, _zgetrs = get_lapack_funcs(("getrf", "getrs"), (np.zeros((1, 1), complex),))
 # optimal gees workspace per order n: LAPACK sizes it from n alone
 _GEES_LWORK: dict[int, int] = {}
 
@@ -55,20 +57,22 @@ def solve_linear(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve M X = B by partially pivoted LU, one LAPACK getrf/getrs pair.
 
     Raises :class:`Singular` when an LU pivot falls below
-    ``1e-14 * norm(M, inf)``, as an exactly zero one does.
+    ``1e-14 * norm(M, inf)``, as an exactly zero one does.  A complex M
+    goes to the complex pair, unchecked for non-finite entries.
     """
-    M = as_matrix(M, "M")
-    B = np.asarray(B, dtype=float)
+    M = M if np.iscomplexobj(M) else as_matrix(M, "M")
+    B = np.asarray(B, dtype=M.dtype)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got {M.shape}")
     if M.size == 0:
         return np.zeros_like(B)
     scale = _inf_norm(M)
-    lu, piv, _ = _getrf(M)
+    getrf, getrs = (_zgetrf, _zgetrs) if M.dtype == complex else (_getrf, _getrs)
+    lu, piv, _ = getrf(M)
     pivots = np.abs(np.diag(lu))
     if scale == 0.0 or pivots.min() < PIVOT_RTOL * scale:
         raise Singular(f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * {scale:.3e}")
-    return _getrs(lu, piv, B)[0]
+    return getrs(lu, piv, B)[0]
 
 
 def _real_schur(M: np.ndarray):
@@ -232,8 +236,9 @@ def null_row_vector(M: np.ndarray) -> np.ndarray:
     Solved through the bordered system obtained by replacing the last
     column of M with ones.  Raises :class:`SingularSystem` when the solve
     breaks down or the residual exceeds ``NULL_RTOL`` relative to norm(M).
+    A complex M is solved as :func:`solve_linear` solves it.
     """
-    M = as_matrix(M, "M")
+    M = M if np.iscomplexobj(M) else as_matrix(M, "M")
     n = M.shape[0]
     bordered = M.copy()
     bordered[:, -1] = 1.0

@@ -136,13 +136,17 @@ def _defect_correct(model: FluidModel, blocks, X, H, U, Ma, Mu, Mb, c_plus):
     cp = c_plus[:, None]
     xi = model.xi
     z_p, z_m = xi[model.ip] * c_plus, xi[model.im] * model.c_minus_abs
-    if z_p.sum() < z_m.sum():
-        shift = np.abs(np.diag(Mu)).max() / X.shape[1]
+    negative_drift = z_p.sum() < z_m.sum()
+    diag, count = (Mu, X.shape[1]) if negative_drift else (Ma, float(z_p.sum()))
+    # in Python floats a shift out of the double range is inf, with no warning
+    shift = float(np.abs(np.diag(diag)).max()) / count if count else np.inf
+    if not np.isfinite(shift):
+        raise NoConvergence(f"the shifted step's scale {shift} leaves the double range")
+    if negative_drift:
         # formed again, not U - shift: that would move the last bit of psi
         U = Mu - shift + Mb.dot(X)
         H = H + cp * (shift * (1.0 - X.sum(axis=1)))[:, None]
     else:
-        shift = np.abs(np.diag(Ma)).max() / z_p.sum()
         Ma = Ma - shift * z_p
         H = H - cp * (shift * (z_p @ X - z_m))
     X = X + sylvester_solver(Ma + X.dot(Mb), U)(-H / cp)

@@ -527,6 +527,14 @@ MALFORMED_INPUTS = [
               pert='{"kind": "rate", "direction": [0.0, -1e308, 0.0]}'),
     # a model that validates but whose zero-rate block is singular in double precision
     malformed("singular-zero-block", ["psi", "{m}"], 1, "SingularBlock", model=SINGULAR_ZERO_BLOCK),
+    # the shifted step's scale leaves the double range, and a subnormal pivot
+    # makes (-A_00)^{-1} infinite: unguarded, each warns and writes a NaN psi
+    # with exit 0
+    malformed("shift-out-of-range", ["psi", "{m}"], 1, "NoConvergence",
+              model='{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [3.642e-230, -3.853e-244]}'),
+    malformed("zero-block-solve-out-of-range", ["psi", "{m}"], 1, "SingularBlock",
+              model='{"A": [[-0.01324, 7.095e-238, 0.01324], [1.207, -1.207, 1.989e-178], '
+                    '[0.0, 6.127e-317, -6.127e-317]], "c": [-0.0178, 0.4746, 0.0]}'),
 ]
 
 

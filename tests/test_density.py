@@ -279,6 +279,28 @@ class TestFirstOrder:
         assert np.abs(density1_at(fol, law, model, sol.psi, psi1,
                                   200.0)).max() <= 1e-10
 
+    @pytest.mark.parametrize("k", [400, -400])
+    def test_scaled_direction_scales_the_law_exactly(self, k):
+        # the complex step follows the direction's scale, so scaling At and
+        # psi1 by 2^k scales every derivative by 2^k, bit for bit
+        model, spec, sol, psi1 = self.make()
+        fol = first_order_law(model, sol, spec.direction, psi1)
+        scaled = first_order_law(model, sol, np.ldexp(spec.direction, k), np.ldexp(psi1, k))
+        for name in ("K1", "Theta1", "q1", "p1_minus", "p1_zero"):
+            assert np.array_equal(getattr(scaled, name), np.ldexp(getattr(fol, name), k)), name
+
+    def test_boundary_matrix_and_K_factored_once(self, case_1a, monkeypatch):
+        # one run of the law's code on the complex step: the bordered
+        # boundary matrix and -K are each factored once
+        model = case_1a[0]
+        spec = validate_perturbation(
+            model, "generator", random_generator_direction(model, np.random.default_rng(72)))
+        sol = solve_psi(model)
+        psi1 = expand(model, sol, spec).psi1
+        calls = record_calls(monkeypatch, "solve_linear")
+        first_order_law(model, sol, spec.direction, psi1)
+        assert len(calls) == 2
+
     def test_rate_kind_rejected(self, two_phase):
         from mmfq.density import require_generator_kind
         spec = validate_perturbation(two_phase, "rate", [0.1, 0.0])
@@ -391,7 +413,7 @@ def models_with_zero_phases(which):
 
 @pytest.mark.parametrize("which", ["1a", "random", "n60"])
 def test_bordered_boundary_derivative_matches_group_inverse_route(which):
-    # p1 and q1 from the differentiated bordered system against the former
+    # p1 and q1 from the law's complex step against the former
     # Poisson/group-inverse route, to 1e-12 of the largest entry
     rng = np.random.default_rng(69)
     for model in models_with_zero_phases(which):

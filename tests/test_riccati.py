@@ -8,7 +8,7 @@ from mmfq import (expand, riccati, solve_psi, solve_psi_at, validate_model,
                   validate_perturbation)
 from mmfq.bench import CASE_IDS, case_model, error_norms
 from mmfq.core import censor_zero_phases
-from mmfq.errors import EmptySide, InvalidEpsilon, NoConvergence
+from mmfq.errors import EmptySide, InvalidEpsilon, NoConvergence, SingularBlock
 from mmfq.numerics import stable_spectrum
 from mmfq.riccati import (DEFAULT_MAX_NEWTON, DEFAULT_TOL, FLOOR_FACTOR, _residual,
                           newton_riccati, perturbed_model)
@@ -152,6 +152,34 @@ class TestNewtonBehaviour:
         model, _ = case_1a
         with pytest.raises(ValueError, match="tol"):
             solve_psi(model, tol=tol)
+
+
+def off_diagonal_generator(off):
+    """Generator with the off-diagonal entries of ``off``, each diagonal
+    entry minus its row's off-diagonal sum."""
+    A = np.array(off, dtype=float)
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    return A
+
+
+# in the first three the shifted step's scale leaves the double range, and
+# in the last a subnormal pivot of the zero-rate block, which passes the
+# relative pivot test, makes (-A_00)^{-1} infinite: unguarded, each solve
+# warns (an error here, as pyproject.toml sets) and returns a NaN psi, U and K
+@pytest.mark.parametrize("off,c,error", [
+    ([[0, 1], [1, 0]], [3.642e-230, -3.853e-244], NoConvergence),
+    ([[0, 0, 6.086e-167, 0], [4.097, 0, 0.03115, 80.33], [4.784, 0.2663, 0, 0],
+      [0.03401, 0, 3.499e-196, 0]], [0, 0.0615, -1.068, 0.02446], NoConvergence),
+    ([[0, 0, 1.476e-295], [0.2251, 0, 8.387e-169], [0, 6.111e-12, 0]],
+     [0, 1.086e8, -8.562], NoConvergence),
+    ([[0, 7.095e-238, 0.01324], [1.207, 0, 1.989e-178], [0, 6.127e-317, 0]],
+     [-0.0178, 0.4746, 0], SingularBlock),
+])
+def test_scale_out_of_double_range_raises(off, c, error):
+    model = validate_model(off_diagonal_generator(off), c)
+    with pytest.raises(error, match="double range"):
+        solve_psi(model)
 
 
 def _reference_newton(Qd, Qa, Mu, Mb, c, tol=DEFAULT_TOL, max_newton=DEFAULT_MAX_NEWTON):
