@@ -4,12 +4,14 @@ A model is a finite irreducible Markov phase process with generator ``A``
 together with a net fluid rate ``c_i`` per phase.  Phases are kept
 internally in the canonical order (positive rates, zero rates, negative
 rates); the permutation back to the caller's ordering is stored on the
-model so user-facing output can be restored.
+model so user-facing output can be restored.  The censoring also runs on
+A + i h At, whose imaginary parts over h are its derivative (Squire & Trapp, 1998).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,65 +209,56 @@ def mean_drift(model: FluidModel) -> float:
 
 
 def censor_zero_phases(model: FluidModel) -> CensoredBlocks:
-    """Censor the zero-rate phases out of the generator.
+    """Censor the zero-rate phases out of the generator: the restriction of
+    ``A`` to the other phases plus the first-passage correction through the
+    zero-rate block.  A model with no zero-rate phase gets A's four blocks and
+    an empty ``inv0``, with no solve."""
+    return _censor(model, model.block)
 
-    The censored generator on the remaining phases is the restriction of
-    ``A`` plus the first-passage correction through the zero-rate block.
-    A model with no zero-rate phase gets A's four blocks and an empty
-    ``inv0``, with no solve.
-    """
+
+def _censor(model: FluidModel, block, inv0: np.ndarray | None = None) -> CensoredBlocks:
+    """:func:`censor_zero_phases` of the generator ``block`` reads; a complex step reuses
+    the real ``inv0`` = M^{-1}, M = -A_00: (M + iE)^{-1} = M^{-1} - i M^{-1} E M^{-1} + O(E^2)."""
     ip, i0, im = model.ip, model.i0, model.im
     if model.n_zero == 0:
         return CensoredBlocks(
-            Q_pp=model.block(ip, ip), Q_pm=model.block(ip, im),
-            Q_mp=model.block(im, ip), Q_mm=model.block(im, im), inv0=np.zeros((0, 0)))
+            Q_pp=block(ip, ip), Q_pm=block(ip, im),
+            Q_mp=block(im, ip), Q_mm=block(im, im), inv0=np.zeros((0, 0)))
     p, pm = model.n_plus, model.n_plus + model.n_minus
     # (-A_00)^{-1} applied to the outgoing rows, up columns first, and to I
-    rhs = np.eye(model.n_zero, pm + model.n_zero, pm)
-    rhs[:, :pm] = model.block(i0, np.concatenate([ip, im]))
-    try:
-        N_rows = solve_linear(-model.block(i0, i0), rhs)
-    except Singular as exc:
-        raise SingularBlock("zero-rate block is singular") from exc
-    if not np.isfinite(N_rows).all():  # a subnormal pivot passes the relative test
-        raise SingularBlock("zero-rate block's solve leaves the double range")
+    rhs = np.hstack([block(i0, np.concatenate([ip, im])), np.eye(model.n_zero)])
+    if inv0 is None:
+        try:
+            N_rows = solve_linear(-block(i0, i0), rhs)
+        except Singular as exc:
+            raise SingularBlock("zero-rate block is singular") from exc
+        if not np.isfinite(N_rows).all():  # a subnormal pivot passes the relative test
+            raise SingularBlock("zero-rate block's solve leaves the double range")
+    else:
+        N_rows = (inv0 + 1j * (inv0 @ block(i0, i0).imag @ inv0)) @ rhs
     N_p, N_m, inv0 = N_rows[:, :p], N_rows[:, p:pm], N_rows[:, pm:]
-    A_p0, A_m0 = model.block(ip, i0), model.block(im, i0)
+    A_p0, A_m0 = block(ip, i0), block(im, i0)
     return CensoredBlocks(
-        Q_pp=model.block(ip, ip) + A_p0 @ N_p,
-        Q_pm=model.block(ip, im) + A_p0 @ N_m,
-        Q_mp=model.block(im, ip) + A_m0 @ N_p,
-        Q_mm=model.block(im, im) + A_m0 @ N_m, inv0=inv0)
+        Q_pp=block(ip, ip) + A_p0 @ N_p,
+        Q_pm=block(ip, im) + A_p0 @ N_m,
+        Q_mp=block(im, ip) + A_m0 @ N_p,
+        Q_mm=block(im, im) + A_m0 @ N_m, inv0=inv0)
 
 
-def qtilde_blocks(model: FluidModel, a_tilde: np.ndarray):
-    """Qt_pp, Qt_pm, Qt_mp, Qt_mm of :func:`_qtilde` along ``a_tilde``, from a
-    censoring formed here; the library reuses its ``PsiSolution.blocks``."""
-    return _qtilde(model, censor_zero_phases(model), a_tilde)
+def _complex_step(model: FluidModel, inv0: np.ndarray, a_tilde, *tangents):
+    """h, the reader of A + i h At and its censoring from the real ``inv0``: each
+    derivative along ``a_tilde`` is an imaginary part over h = 2^(-30-e), which sits near
+    2^-30 of its value's scale: e is the largest of -1000, the binary exponent of ||At||
+    less that of ||A||, and those of the ``tangents``' inf-norms (a zero norm's: -1000)."""
+    e_At, e_A, *e_t = (math.frexp(x)[1] if x else -1000
+                       for x in (float(_inf_norm(X)) for X in (a_tilde, model.A, *tangents)))
+    h = math.ldexp(1.0, -30 - max(e_At - e_A, *e_t, -1000))
+    A = model.A + 1j * h * np.asarray(a_tilde, dtype=float)
 
+    def block(rows, cols):
+        return A.take(rows, 0).take(cols, 1)
 
-def _qtilde(model: FluidModel, blocks: CensoredBlocks, a_tilde: np.ndarray):
-    """First-order coefficient of the censored generator blocks.
-
-    Differentiating the censoring formula Q = A_cc + A_c0 (-A_00)^{-1} A_0c
-    (c the up and down phases) along the direction ``a_tilde`` (canonical
-    order) gives
-
-        Qt = At_cc + (At_c0 + R At_00) N_0c + R At_0c
-
-    with N_0c = (-A_00)^{-1} A_0c and R = A_c0 (-A_00)^{-1}, both products
-    with the censoring's ``blocks.inv0``.
-    """
-    i0 = model.i0
-    ic = np.concatenate([model.ip, model.im])
-    At = np.asarray(a_tilde, dtype=float)
-    N_0c = blocks.inv0 @ model.block(i0, ic)
-    R = model.block(ic, i0) @ blocks.inv0
-    Qt = At.take(ic, 0).take(ic, 1) \
-        + (At.take(ic, 0).take(i0, 1) + R @ At.take(i0, 0).take(i0, 1)) @ N_0c \
-        + R @ At.take(i0, 0).take(ic, 1)
-    p = model.n_plus
-    return Qt[:p, :p], Qt[:p, p:], Qt[p:, :p], Qt[p:, p:]
+    return h, block, _censor(model, block, inv0)
 
 
 def validate_perturbation(model: FluidModel, kind: str, direction) -> PerturbationSpec:
@@ -348,10 +341,3 @@ def load_model(path) -> FluidModel:
         raise NotAGenerator("A has non-finite entries")
     return validate_model(A, c, labels=labels)
 
-
-def model_to_dict(model: FluidModel) -> dict:
-    """Serialize back to the on-disk layout, in the original phase order."""
-    inv = np.argsort(model.perm)
-    A = model.A.take(inv, 0).take(inv, 1)
-    c = model.c[inv]
-    return {"A": A.tolist(), "c": c.tolist(), "labels": list(model.labels)}

@@ -6,7 +6,8 @@ mass at level zero sits on the down and zero phases only.  Along a generator
 direction pi1(x) = [q, q1] exp(G x) W1, with G = [[K, K1], [0, K]] (Van Loan,
 1978) and W1 = [[0 | psi1 |C-|^{-1} | Theta1]; W].  One code, _law_factors,
 gives the law from real inputs and, run once on a complex step x + i h x' of
-them, each derivative as an imaginary part over h (Squire & Trapp, 1998).
+them, each derivative as an imaginary part over h (Squire & Trapp, 1998), with
+the censoring code of ``core`` run on that step.
 ``StationaryLaw`` holds W and ``FirstOrderLaw`` G, [q, q1] and W1, with
 columns in the caller's phase order, and each holds an evaluator of exp(K x)
 or exp(G x) with the powers and norms of its exponent: all are built once
@@ -15,7 +16,6 @@ per law, so a level costs one Taylor step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .core import FluidModel, censor_zero_phases  # noqa: F401
 from .errors import (Inconclusive, NotGeneratorKind, NotRecurrent, SingularNormalization,
                      SingularSystem)
-from .numerics import (ExpEvaluator, _inf_norm, conv_integral, exp_evaluator,  # noqa: F401
+from .numerics import (ExpEvaluator, conv_integral, exp_evaluator,  # noqa: F401
                        matrix_exp, null_row_vector, solve_linear)
 from .riccati import PsiSolution
 from . import core
@@ -155,26 +155,14 @@ def first_order_law(model: FluidModel, psi_sol: PsiSolution,
 
     ``a_tilde`` is the direction in canonical phase order (zero row sums)
     and ``psi1`` is ``expand(...).psi1`` along it.  :func:`_law_factors`
-    runs once on a complex step x + i h x' of its inputs: A + i h At, psi +
-    i h psi1, K on the censored blocks Q + i h Qt and inv0 + i h inv0 At_00
-    inv0; each derivative is an imaginary part over h.  h = 2^(-30-e), e the
-    binary exponent of max(||At|| / ||A||, ||psi1||, 2^-1000) in inf-norms,
-    puts each imaginary part near 2^-30 of its value's scale: the O(h^2)
-    terms stay below round-off, and nothing underflows.
+    runs once on a complex step x + i h x' of its inputs: A + i h At, psi + i h
+    psi1, and K and inv0 from the censoring of A + i h At.  Each derivative is
+    an imaginary part over h.
     """
-    blocks, i0 = psi_sol.blocks, model.i0
-    At = np.asarray(a_tilde, dtype=float)
-    scale = max(float(_inf_norm(At)) / float(_inf_norm(model.A)), float(_inf_norm(psi1)),
-                2.0 ** -1000)
-    h = math.ldexp(1.0, -30 - math.frexp(scale)[1])
-    A = model.A + 1j * h * At
+    h, block, b = core._complex_step(model, psi_sol.blocks.inv0, a_tilde, psi1)
     psi = psi_sol.psi + 1j * h * psi1
-    Qt_pp, _, Qt_mp, _ = core._qtilde(model, blocks, At)
-    K = (blocks.Q_pp + 1j * h * Qt_pp) / model.c_plus[:, None] \
-        + (psi / model.c_minus_abs[None, :]) @ (blocks.Q_mp + 1j * h * Qt_mp)
-    inv0 = blocks.inv0 + 1j * h * (blocks.inv0 @ At.take(i0, 0).take(i0, 1) @ blocks.inv0)
-    theta, q, p_minus, p_zero, W = _law_factors(
-        model, lambda rows, cols: A.take(rows, 0).take(cols, 1), psi, K, inv0)
+    K = b.Q_pp / model.c_plus[:, None] + (psi / model.c_minus_abs[None, :]) @ b.Q_mp
+    theta, q, p_minus, p_zero, W = _law_factors(model, block, psi, K, b.inv0)
     K1 = K.imag / h
     G = np.block([[psi_sol.K, K1], [np.zeros_like(K1), psi_sol.K]])
     return FirstOrderLaw(K1=K1, Theta1=theta.imag / h, q1=q.imag / h,

@@ -2,7 +2,7 @@
 
 :func:`expand` is the one entry point; it takes one of two routes:
 
-* generator direction ``A + eps*At``: one Sylvester solve in :func:`expand`,
+* generator direction ``A + eps*At``: one Sylvester solve on the complex step's Qt,
 * rate direction, by the migration elimination: the zero-rate phases
   split by sign into a migrating-up and a migrating-down class.  Every
   regime runs it; ``spec.regime`` names the one at hand: ``general``
@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# qtilde_blocks stays bound because the benchmark harness calls it here by name
-from .core import (FluidModel, PerturbationSpec, _qtilde, qtilde_blocks,  # noqa: F401
+from .core import (FluidModel, PerturbationSpec, _complex_step, censor_zero_phases,
                    validate_perturbation)
 from .errors import InnerRiccatiDiverged, InvalidPerturbation, NoConvergence
 from .numerics import solve_linear, solve_sylvester
@@ -207,14 +206,20 @@ def _eliminate(model: FluidModel, psi_sol: PsiSolution,
                                     k_m1_op_op, k_m1_op_p)})
 
 
+def qtilde_blocks(model: FluidModel, a_tilde: np.ndarray):
+    """Qt of :func:`expand` along ``a_tilde``, from a censoring formed here."""
+    h, _, b = _complex_step(model, censor_zero_phases(model).inv0, a_tilde)
+    return tuple(Q.imag / h for Q in (b.Q_pp, b.Q_pm, b.Q_mp, b.Q_mm))
+
+
 def expand(model: FluidModel, psi_sol: PsiSolution,
            spec: PerturbationSpec) -> PsiExpansion:
     """First-order expansion of psi along ``spec``, any kind and regime.
 
     The result's ``psi1`` is the first-order matrix and, for a rate
     direction, ``aux["series"]`` the Laurent-series blocks of U(eps) and
-    K(eps).  Along a generator direction, with Qt the derivative of the root
-    solve's censoring (``qtilde_blocks``), psi1 solves
+    K(eps).  Along a generator direction, with Qt the imaginary parts over h
+    of the root solve's censoring run on A + i h At (``core._complex_step``), psi1 solves
 
         K X + X U = -C+^{-1} Qt_{+-} - C+^{-1} Qt_{++} psi
                     - psi |C-^{-1}| Qt_{--} - psi |C-^{-1}| Qt_{-+} psi.
@@ -225,7 +230,8 @@ def expand(model: FluidModel, psi_sol: PsiSolution,
         with np.errstate(over="raise", invalid="raise"):
             if spec.kind == "rate":
                 return _eliminate(model, psi_sol, spec)
-            Qt_pp, Qt_pm, Qt_mp, Qt_mm = _qtilde(model, psi_sol.blocks, spec.direction)
+            h, _, b = _complex_step(model, psi_sol.blocks.inv0, spec.direction)
+            Qt_pp, Qt_pm, Qt_mp, Qt_mm = (Q.imag / h for Q in (b.Q_pp, b.Q_pm, b.Q_mp, b.Q_mm))
             psi = psi_sol.psi
             cp = model.c_plus[:, None]
             psi_cm = psi / model.c_minus_abs[None, :]

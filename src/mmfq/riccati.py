@@ -161,8 +161,10 @@ def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
     Requires nonempty up- and down-phase sets.  For positive recurrent
     models the rows of ``psi`` sum to one and ``U`` has zero row sums.
     ``residual`` is ||F||_inf of the unscaled equation.  A solve is accepted
-    when it meets ``tol`` or when ||C+ F||_inf is at the round-off floor, so
-    with tiny up rates it can exceed ``tol`` (case 3a at eps = 1e-4: 4e-11).
+    when it meets ``tol`` times min(s, 1), s the largest coefficient inf-norm
+    (psi is free of the unit of time), or when ||C+ F||_inf is at the
+    round-off floor, so with tiny up rates it can exceed ``tol`` (case 3a at
+    eps = 1e-4: 4e-11).
     Newton raises ``ValueError`` unless 0 <= ``tol`` < inf.
     """
     if model.n_plus == 0 or model.n_minus == 0:
@@ -170,8 +172,9 @@ def solve_psi(model: FluidModel, tol: float = DEFAULT_TOL,
     blocks = censor_zero_phases(model)
     c_plus, cm = model.c_plus, model.c_minus_abs[:, None]
     Ma, Mu, Mb = blocks.Q_pp / c_plus[:, None], blocks.Q_mm / cm, blocks.Q_mp / cm
+    scale = max(float(_inf_norm(M)) for M in (blocks.Q_pm / c_plus[:, None], Ma, Mu, Mb))
     X, iterations, history, H, U = newton_riccati(
-        blocks.Q_pm, blocks.Q_pp, Ma, Mu, Mb, c_plus, tol, max_newton)
+        blocks.Q_pm, blocks.Q_pp, Ma, Mu, Mb, c_plus, tol * min(scale, 1.0), max_newton)
     if tol <= REFINE_THRESHOLD:
         X, res, U = _defect_correct(model, blocks, X, H, U, Ma, Mu, Mb, c_plus)
         history = history[:-1] + (res,)

@@ -51,6 +51,14 @@ def record_calls(monkeypatch, name):
     return calls
 
 
+
+def model_to_dict(model):
+    """Serialize back to the on-disk layout, in the original phase order."""
+    inv = np.argsort(model.perm)
+    A = model.A.take(inv, 0).take(inv, 1)
+    c = model.c[inv]
+    return {"A": A.tolist(), "c": c.tolist(), "labels": list(model.labels)}
+
 def stationary_of(A):
     """Stationary distribution of the generator ``A``, solved here: its null
     row vector, clipped at zero and normalised."""

@@ -22,7 +22,7 @@ def model_file(tmp_path):
 @pytest.fixture
 def case_1a_file(tmp_path):
     from mmfq.bench import case_model
-    from mmfq.core import model_to_dict
+    from conftest import model_to_dict
     model, spec = case_model("1a")
     path = tmp_path / "case1a.json"
     path.write_text(json.dumps(model_to_dict(model)))
@@ -191,7 +191,7 @@ class TestPerturb:
         """Run ``perturb`` on a 9-phase model with three zero-rate phases;
         the rate direction is ``on_zero`` there, ``on_other`` elsewhere."""
         from conftest import random_recurrent_model
-        from mmfq.core import model_to_dict
+        from conftest import model_to_dict
         rng = np.random.default_rng(70)
         model = random_recurrent_model(
             9, rng, signs=[1, 1, 1, 0, 0, 0, -1, -1, -1])

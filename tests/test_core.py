@@ -5,11 +5,10 @@ import pytest
 
 from mmfq import (censor_zero_phases, load_model, mean_drift, validate_model,
                   validate_perturbation)
-from mmfq.core import model_to_dict
 from mmfq.errors import (DimensionMismatch, InvalidPerturbation, NotAGenerator,
                          Reducible, Singular)
 
-from conftest import random_generator, random_recurrent_model, record_calls
+from conftest import model_to_dict, random_generator, random_recurrent_model, record_calls
 
 
 class TestValidateModel:

@@ -301,6 +301,37 @@ class TestFirstOrder:
         first_order_law(model, sol, spec.direction, psi1)
         assert len(calls) == 2
 
+    def test_generator_expansion_solves_nothing(self, case_1a, monkeypatch):
+        # the complex step's censoring reuses the root solve's inverse of
+        # the zero-rate block, and psi1 is one Sylvester solve
+        model = case_1a[0]
+        spec = validate_perturbation(
+            model, "generator", random_generator_direction(model, np.random.default_rng(72)))
+        sol = solve_psi(model)
+        calls = record_calls(monkeypatch, "solve_linear")
+        expand(model, sol, spec)
+        assert calls == []
+
+    def test_direction_far_larger_than_the_generator(self):
+        # ||At|| / ||A|| = 1e310 overflows a double; the step size comes from
+        # the norms' binary exponents, so K1 and q1 are those of the
+        # unit-scale model times 1e300, with no overflow on the way (the
+        # boundary mass's derivative is 0 there, a cancellation of terms
+        # of size ||At|| / ||A||)
+        A = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        fols = []
+        for scale, dir_scale in ((1e-10, 1e300), (1.0, 1.0)):
+            model = validate_model(scale * A, [1.0, -2.0])
+            spec = validate_perturbation(model, "generator", dir_scale * A)
+            sol = solve_psi(model)
+            fols.append(first_order_law(model, sol, spec.direction,
+                                        expand(model, sol, spec).psi1))
+        big, unit = fols
+        assert np.allclose(unit.K1, [[-0.5]], rtol=1e-15) and np.allclose(unit.q1, [0.25])
+        for name in ("K1", "q1"):
+            assert np.allclose(getattr(big, name), 1e300 * getattr(unit, name),
+                               rtol=1e-14, atol=0.0), name
+
     def test_rate_kind_rejected(self, two_phase):
         from mmfq.density import require_generator_kind
         spec = validate_perturbation(two_phase, "rate", [0.1, 0.0])

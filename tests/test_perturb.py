@@ -35,7 +35,47 @@ def rate_model_with_zeros(rng, n_plus=2, n_zero=3, n_minus=3):
     return random_recurrent_model(len(signs), rng, signs=signs)
 
 
+def qtilde_by_hand(model, blocks, a_tilde):
+    """The censoring's derivative from its formula, an independent reference.
+
+    Differentiating Q = A_cc + A_c0 (-A_00)^{-1} A_0c (c the up and down
+    phases) along At gives Qt = At_cc + (At_c0 + R At_00) N_0c + R At_0c
+    with N_0c = (-A_00)^{-1} A_0c and R = A_c0 (-A_00)^{-1}.
+    """
+    i0, ic = model.i0, np.concatenate([model.ip, model.im])
+    At = np.asarray(a_tilde, dtype=float)
+    N_0c = blocks.inv0 @ model.block(i0, ic)
+    R = model.block(ic, i0) @ blocks.inv0
+    Qt = At[np.ix_(ic, ic)] + (At[np.ix_(ic, i0)] + R @ At[np.ix_(i0, i0)]) @ N_0c \
+        + R @ At[np.ix_(i0, ic)]
+    p = model.n_plus
+    return Qt[:p, :p], Qt[:p, p:], Qt[p:, :p], Qt[p:, p:]
+
+
 class TestQtilde:
+    def test_complex_step_matches_formula(self):
+        rng = np.random.default_rng(33)
+        for n_zero in (1, 2, 3, 5, 8):
+            for _ in range(4):
+                model = rate_model_with_zeros(rng, n_plus=int(rng.integers(1, 5)),
+                                              n_zero=n_zero, n_minus=int(rng.integers(1, 5)))
+                spec = validate_perturbation(
+                    model, "generator", random_generator_direction(model, rng))
+                want = qtilde_by_hand(model, censor_zero_phases(model), spec.direction)
+                for got, ref in zip(qtilde_blocks(model, spec.direction), want):
+                    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_no_zero_phases_gives_the_direction_blocks(self):
+        # with nothing to censor, Qt is At's own blocks, bit for bit
+        rng = np.random.default_rng(34)
+        model = random_recurrent_model(6, rng, signs=[1, -1, 1, -1, 1, -1])
+        At = validate_perturbation(
+            model, "generator", random_generator_direction(model, rng)).direction
+        p = model.n_plus
+        for got, want in zip(qtilde_blocks(model, At),
+                             (At[:p, :p], At[:p, p:], At[p:, :p], At[p:, p:])):
+            assert np.array_equal(got, want)
+
     def test_matches_finite_difference_of_censoring(self):
         rng = np.random.default_rng(30)
         model = rate_model_with_zeros(rng)

@@ -48,6 +48,17 @@ class TestTwoPhaseClosedForm:
         assert abs(sol.psi[0, 0] - a * abs(cm) / (b * cp)) < 1e-12
 
 
+@pytest.mark.parametrize("which", ["two_phase", "1a"])
+def test_psi_does_not_depend_on_the_unit_of_time(which):
+    # scaling A by 2^-34 (or c by 2^34) scales every Riccati coefficient and
+    # the residual alike; the tolerance follows the coefficients' scale
+    model = (validate_model([[-1.0, 1.0], [1.0, -1.0]], [1.0, -2.0]) if which == "two_phase"
+             else case_model("1a")[0])
+    psi = solve_psi(model).psi
+    for A, c in ((np.ldexp(model.A, -34), model.c), (model.A, np.ldexp(model.c, 34))):
+        assert np.abs(solve_psi(validate_model(A, c)).psi - psi).max() <= 1e-14
+
+
 class TestNearZeroDrift:
     @pytest.mark.parametrize("drift", [1e-6, 1e-9])
     def test_dense_transient_model(self, drift):
