@@ -134,7 +134,8 @@ def validate_model(A, c, labels=None) -> FluidModel:
     """Validate a generator / rate-vector pair and build a FluidModel.
 
     Checks generator structure (nonnegative off-diagonals, zero row sums
-    relative to ``norm(A, inf)``), irreducibility of the transition graph
+    relative to ``norm(A, inf)``, a norm zero or in the normal double
+    range), irreducibility of the transition graph
     and that ``norm(A, inf) / |c_i|`` is finite for every nonzero rate, and
     derives the canonical three-way partition from the signs of ``c``.
     Solves once for the stationary distribution ``xi``; a null vector with
@@ -165,6 +166,9 @@ def validate_model(A, c, labels=None) -> FluidModel:
         norm = _inf_norm(A)
     if not np.isfinite(norm):
         raise NotAGenerator("inf-norm of A overflows")
+    # below the normal range the entries and the solve's products lose digits
+    if 0.0 < norm < np.finfo(float).tiny:
+        raise NotAGenerator("inf-norm of A is below the normal double range")
     if not _rates_in_range(norm, c):
         raise DimensionMismatch("c has a nonzero rate too small to divide A by")
     tol = ROWSUM_RTOL * norm

@@ -4,15 +4,22 @@ Everything works on plain ``numpy.ndarray`` in double precision.  Inputs
 crossing the public API are validated with :func:`as_matrix`, which rejects
 non-finite entries.  The LU solves also take the complex arrays of the
 stationary law's complex step (``density.first_order_law``).
+
+The LAPACK kernels come from scipy's compiled ``_flapack`` extension,
+loaded from its file: ``scipy.linalg`` imports ``numpy.testing`` and
+``numpy.f2py``, which would more than double the CLI's cold start.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .errors import Inconclusive, NoConvergence, SingularSystem, Singular
 
@@ -20,10 +27,13 @@ PIVOT_RTOL = 1e-14
 SPECTRAL_MARGIN = 1e-8
 NULL_RTOL = 1e-10
 
-# the double-precision LAPACK kernels, bound once, and the complex LU pair
-_getrf, _getrs, _gees, _trsyl = get_lapack_funcs(
-    ("getrf", "getrs", "gees", "trsyl"), (np.zeros((1, 1)),))
-_zgetrf, _zgetrs = get_lapack_funcs(("getrf", "getrs"), (np.zeros((1, 1), complex),))
+# the double-precision LAPACK kernels, bound once, and the complex LU pair:
+# the objects scipy.linalg.get_lapack_funcs returns for float64 and complex128
+_spec = PathFinder.find_spec("scipy.linalg._flapack", [os.path.join(scipy.__path__[0], "linalg")])
+_flapack = module_from_spec(_spec)
+_spec.loader.exec_module(_flapack)
+_getrf, _getrs, _gees, _trsyl = _flapack.dgetrf, _flapack.dgetrs, _flapack.dgees, _flapack.dtrsyl
+_zgetrf, _zgetrs = _flapack.zgetrf, _flapack.zgetrs
 # optimal gees workspace per order n: LAPACK sizes it from n alone
 _GEES_LWORK: dict[int, int] = {}
 
@@ -234,12 +244,17 @@ def null_row_vector(M: np.ndarray) -> np.ndarray:
     """Row vector v with v M = 0 and v 1 = 1, for a rank n-1 generator.
 
     Solved through the bordered system obtained by replacing the last
-    column of M with ones.  Raises :class:`SingularSystem` when the solve
-    breaks down or the residual exceeds ``NULL_RTOL`` relative to norm(M).
-    A complex M is solved as :func:`solve_linear` solves it.
+    column of M with ones, after M is scaled by the power of two that
+    brings norm(M, inf) into [1, 2): v does not depend on the unit of time.
+    Raises :class:`SingularSystem` when the solve breaks down or the
+    residual exceeds ``NULL_RTOL`` relative to the scaled norm(M).  A
+    complex M is solved as :func:`solve_linear` solves it.
     """
     M = M if np.iscomplexobj(M) else as_matrix(M, "M")
     n = M.shape[0]
+    # exact; in two factors, as 2^k alone overflows where the norm is subnormal
+    k = 1 - math.frexp(_inf_norm(M))[1]
+    M = M * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
     bordered = M.copy()
     bordered[:, -1] = 1.0
     rhs = np.zeros(n)
@@ -248,7 +263,6 @@ def null_row_vector(M: np.ndarray) -> np.ndarray:
         v = solve_linear(bordered.T, rhs)
     except Singular as exc:
         raise SingularSystem(str(exc)) from exc
-    scale = max(_inf_norm(M), 1.0)
-    if np.abs(v @ M).max(initial=0.0) > NULL_RTOL * scale:
+    if np.abs(v @ M).max(initial=0.0) > NULL_RTOL * _inf_norm(M):
         raise SingularSystem("null-vector residual exceeds tolerance")
     return v

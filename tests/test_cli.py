@@ -480,8 +480,8 @@ MALFORMED_INPUTS = [
               model='{"A": [[-1.0, 1.0], [1.0, -1.0]], "c": [1.0, -2.0], "labels": ["a"]}'),
     malformed("generator-eps-negative", ["perturb", "{m}", "{p}", "--eps-check", "-1"], 1,
               "InvalidEpsilon"),
-    malformed("generator-eps-huge", ["perturb", "{m}", "{p}", "--eps-check", "1e300"], 1,
-              "SingularSystem"),
+    malformed("generator-eps-huge", ["perturb", "{m}", "{p}", "--eps-check", "1e308"], 1,
+              "InvalidEpsilon"),
     malformed("rate-eps-nan", ["perturb", "{m}", "{p}", "--eps-check", "nan"], 2, "Usage",
               pert=RATE),
     malformed("density-grid-nan", ["density", "{m}", "--x", "0:nan:3"], 2, "Usage"),
@@ -527,6 +527,12 @@ MALFORMED_INPUTS = [
               pert='{"kind": "rate", "direction": [0.0, -1e308, 0.0]}'),
     # a model that validates but whose zero-rate block is singular in double precision
     malformed("singular-zero-block", ["psi", "{m}"], 1, "SingularBlock", model=SINGULAR_ZERO_BLOCK),
+    # two pairs of phases coupled at rate 1e-20: the stationary vector's
+    # bordered system is singular in double precision
+    malformed("weakly-coupled-pairs", ["validate", "{m}"], 1, "SingularSystem",
+              model='{"A": [[-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 1e-20, 0.0], '
+                    '[0.0, 1e-20, -1.0, 1.0], [0.0, 0.0, 1.0, -1.0]], '
+                    '"c": [1.0, -1.0, 1.0, -1.0]}'),
     # the shifted step's scale leaves the double range, and a subnormal pivot
     # makes (-A_00)^{-1} infinite: unguarded, each warns and writes a NaN psi
     # with exit 0

@@ -67,6 +67,14 @@ class TestValidateModel:
         with pytest.raises(DimensionMismatch, match="too small"):
             validate_model([[-1.0, 1.0], [1.0, -1.0]], [c_up, -1.0])
 
+    @pytest.mark.parametrize("scale", [1e-309, 1e-320])
+    def test_subnormal_generator_rejected(self, scale):
+        # subnormal entries keep few digits: accepted, 1e-320 gave a psi
+        # 1.8e-4 above 1 with no error
+        with pytest.raises(NotAGenerator, match="normal double range"):
+            validate_model(scale * np.array([[-1.0, 1.0], [1.0, -1.0]]),
+                           scale * np.array([1.0, -2.0]))
+
     def test_smallest_rates_that_divide(self, case_1a):
         model = validate_model([[-1.0, 1.0], [1.0, -1.0]], [1.2e-308, -1.0])
         assert model.n_plus == 1

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -186,6 +191,34 @@ def test_gees_workspace_table_matches_live_query(n):
     M = np.random.default_rng(n).normal(size=(n, n))
     gees, = scipy.linalg.get_lapack_funcs(("gees",), (M,))
     assert numerics._GEES_LWORK[n] == int(gees(lambda x, y: None, M, lwork=-1)[-2][0])
+
+
+def run_fresh(code: str) -> str:
+    """stdout of ``code`` in a new interpreter that imports mmfq from src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          check=True, capture_output=True, text=True, timeout=60).stdout
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # scipy.linalg imports numpy.testing and numpy.f2py: most of a cold start
+    assert run_fresh("import sys, mmfq.cli; print('scipy.linalg' in sys.modules)") == "False\n"
+
+
+@pytest.mark.parametrize("first", ["mmfq.numerics", "scipy.linalg"])
+def test_lapack_handles_are_the_ones_scipy_linalg_returns(first):
+    # the same function objects, so every result is bit-identical, in either import order
+    code = f"""
+import {first}
+import numpy as np, scipy.linalg
+from mmfq import numerics
+want = (scipy.linalg.get_lapack_funcs(("getrf", "getrs", "gees", "trsyl"), (np.zeros((1, 1)),))
+        + scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (np.zeros((1, 1), complex),)))
+bound = (numerics._getrf, numerics._getrs, numerics._gees, numerics._trsyl,
+         numerics._zgetrf, numerics._zgetrs)
+print([w is b for w, b in zip(want, bound)])
+"""
+    assert run_fresh(code) == str([True] * 6) + "\n"
 
 
 class TestMatrixExp:

@@ -41,12 +41,13 @@ def test_relabelling_permutes_psi():
 
 
 def test_time_scaling_leaves_psi_unchanged():
-    # scaling A and c together runs the same sample paths at speed s
+    # scaling A and c together runs the same sample paths at speed s, also
+    # where norm(s A) is far from 1
     for A, c, rng in random_models(71):
-        s = 10.0 ** rng.uniform(-3.0, 3.0)
         labels = np.arange(len(c))
-        assert np.abs(psi_by_phase(s * A, s * c, labels)
-                      - psi_by_phase(A, c, labels)).max() <= 1e-13, s
+        expected = psi_by_phase(A, c, labels)
+        for s in (10.0 ** rng.uniform(-3.0, 3.0), 1e-200, 1e-100, 1e-15, 1e15, 1e100, 1e200):
+            assert np.abs(psi_by_phase(s * A, s * c, labels) - expected).max() <= 1e-13, s
 
 
 def adversarial_draws(seed, draws):

@@ -180,8 +180,8 @@ def off_diagonal_generator(off):
 # warns (an error here, as pyproject.toml sets) and returns a NaN psi, U and K
 @pytest.mark.parametrize("off,c,error", [
     ([[0, 1], [1, 0]], [3.642e-230, -3.853e-244], NoConvergence),
-    ([[0, 0, 6.086e-167, 0], [4.097, 0, 0.03115, 80.33], [4.784, 0.2663, 0, 0],
-      [0.03401, 0, 3.499e-196, 0]], [0, 0.0615, -1.068, 0.02446], NoConvergence),
+    ([[0, 1, 0, 2], [0.5, 0, 1, 0], [0, 3, 0, 1], [1, 0, 0.25, 0]],
+     [0, 2e-200, -1e-210, 3e-200], NoConvergence),
     ([[0, 0, 1.476e-295], [0.2251, 0, 8.387e-169], [0, 6.111e-12, 0]],
      [0, 1.086e8, -8.562], NoConvergence),
     ([[0, 7.095e-238, 0.01324], [1.207, 0, 1.989e-178], [0, 6.127e-317, 0]],
